@@ -26,16 +26,16 @@ checked *while a load runs* instead:
   event-coalesced fast path) only ever jumps strictly forward and
   strictly before the next pending heap event, so coalescing is
   unobservable to every other model.
-* **busy-set-cache** — the batched executor's incrementally maintained
+* **busy-set-cache** — the production link's incrementally maintained
   busy-channel set always equals a fresh recomputation from stream
   state (stale entries would silently misallocate bandwidth).
 * **waterfill-fast-path** — the closed-form 1–3-connection
   water-filling allocation is bit-identical to the general iterative
   solver on the same inputs.
 * **scanner-wakeup-bound** — a demand-driven scanner arming fires no
-  later than the legacy 5 ms poll loop would have armed the same
-  document (within one poll interval of the fetch-created transition
-  that requested it), so eliding the poll is unobservable.
+  later than the reference engine's 5 ms poll loop would have armed
+  the same document (within one poll interval of the fetch-created
+  transition that requested it), so eliding the poll is unobservable.
 
 This module sits at layer 0 of the package DAG (like
 :mod:`repro.calibration`): it imports nothing from ``repro``, so every
@@ -241,7 +241,8 @@ def fast_forward_bounds(
 
     ``next_event`` is the time of the next pending heap event (None when
     the heap is empty); the advance must end strictly before it so the
-    coalesced steps are indistinguishable from the event-per-tick trace.
+    coalesced steps are indistinguishable from the reference engine's
+    event-per-tick trace.
     """
     if target <= now:
         raise AuditError(
@@ -298,10 +299,10 @@ def scanner_wakeup_bound(
     """A demand-driven scanner arming is never later than the poll's.
 
     ``requested_at`` is when the earliest pending fetch-created
-    transition asked for a wakeup; the legacy loop would examine that
+    transition asked for a wakeup; the reference poll would examine that
     document at the first poll tick strictly after it, at most
     ``interval`` later.  An arming beyond that bound (or before the
-    request) means the event-driven engine drifted off the poll grid.
+    request) means the production engine drifted off the poll grid.
     The nanosecond of slack absorbs the float error the iterated
     grid addition legitimately accumulates.
     """

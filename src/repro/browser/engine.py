@@ -29,9 +29,9 @@ from repro.net.simulator import ArraySimulator, Simulator, SimulatorLike
 from repro.pages.page import PageSnapshot
 from repro.pages.resources import PROCESSABLE_TYPES, Resource, ResourceType
 
-#: The preload scanner's poll interval in seconds.  The event-driven
+#: The preload scanner's poll interval in seconds.  The production
 #: engine reproduces this exact time grid — iterated addition from
-#: zero, matching the legacy loop's repeated ``schedule_drop``
+#: zero, matching the reference loop's repeated ``schedule_drop``
 #: arithmetic float for float — so demand-driven armings land at
 #: bit-identical timestamps to the poll's.
 SCANNER_POLL_INTERVAL = 0.005
@@ -164,18 +164,15 @@ class PageLoadEngine:
         self.snapshot = snapshot
         self.snapshot_urls = snapshot.by_url()
         self.net_config = net_config or NetworkConfig()
-        # Both executors share one contract and produce bit-identical
-        # event traces; batched_timeline only changes how much each event
-        # costs in wall time (see net/simulator.py).
+        # The one place the engine choice is read: the simulator type
+        # selects the mode of everything built on it (the link derives
+        # its own from it).  Both engines produce bit-identical
+        # observables; production only changes how much each load costs
+        # in wall time (see net/simulator.py).
+        production = self.net_config.engine == "production"
         self.sim: SimulatorLike = (
-            ArraySimulator()
-            if self.net_config.batched_timeline
-            else Simulator()
+            ArraySimulator() if production else Simulator()
         )
-        # Microtask batching rides the event-driven flag: consecutive
-        # call_soon deferrals collapse into one heap event (order proven
-        # identical by the seq-gap guard in call_soon itself).
-        self.sim.microtask_batching = self.net_config.event_driven_browser
         self.browser_config = browser_config or BrowserConfig()
         self.cpu_profile = self.browser_config.cpu_profile()
         self.cpu = CpuQueue(self.sim)
@@ -211,9 +208,10 @@ class PageLoadEngine:
         self._done_blocker: Optional[str] = None
         self.wasted_bytes = 0.0
 
-        #: Scanner-wakeup bookkeeping, shared by the poll loop and the
-        #: event-driven path (see :meth:`_arm_scanners_event_driven`).
-        self._event_driven = self.net_config.event_driven_browser
+        #: Scanner-wakeup bookkeeping, shared by the reference poll loop
+        #: and the production event-driven path (see
+        #: :meth:`_arm_scanners_event_driven`).
+        self._event_driven = production
         self._scanner_waiting: List[Resource] = []
         self._scanner_waiting_urls: Set[str] = set()
         #: First 5 ms grid tick not yet accounted as fired or elided.
@@ -870,7 +868,7 @@ class PageLoadEngine:
         """One pass of the scanner poll body at the current timestamp.
 
         Arms every still-waiting document whose fetch now exists (the
-        exact condition the legacy tick checks) and drops it from the
+        exact condition the reference tick checks) and drops it from the
         to-do list.  Both drivers — the standing 5 ms poll and the
         demand-driven wakeup — run this same body, so an arming's side
         effects are identical whichever driver reached the timestamp.
@@ -898,9 +896,9 @@ class PageLoadEngine:
 
         The document set is fixed for the whole load, so the poll tick
         walks a shrinking to-do list instead of re-deriving the document
-        list (a full resource-tree walk) on every 5 ms tick.  Kept as
-        the reference the event-driven path is equivalence-tested
-        against (``NetworkConfig.event_driven_browser = False``).
+        list (a full resource-tree walk) on every 5 ms tick.  The
+        reference engine's driver, which the production event-driven
+        path is equivalence-tested against.
         """
         self._scanner_waiting = list(self.snapshot.documents())
 
@@ -922,7 +920,7 @@ class PageLoadEngine:
         fires whenever a waiting document's poll condition becomes true
         (end of :meth:`start_fetch`, push header arrival) and schedules
         one arming event at the first grid tick strictly after ``now`` —
-        exactly when the legacy loop would next examine the document.
+        exactly when the reference loop would next examine the document.
         Grid ticks with no pending wakeup are never scheduled at all
         (counted by ``scanner_polls_elided``), which is what opens the
         silent windows the link's batch executor needs.  Discovery

@@ -92,7 +92,7 @@ class LoadMetrics:
     )
     #: Deterministic engine perf counters (heap events scheduled/executed/
     #: cancelled, link pokes, fast-forward steps, rate recomputes).
-    #: Excluded from equality: the fast-forward and event-per-tick engines
+    #: Excluded from equality: the reference and production engines
     #: produce identical *results* but intentionally different counters,
     #: and the equivalence suite compares metrics with ``==``.
     engine_counters: Dict[str, int] = field(default_factory=dict, compare=False)

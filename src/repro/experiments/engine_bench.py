@@ -1,45 +1,41 @@
-"""Engine micro-benchmark: the four DES executor modes, head to head.
+"""Engine micro-benchmark: the two page-load engines, head to head.
 
-Each scenario loads one page once per engine mode —
+Each scenario loads one page once per engine (``NetworkConfig.engine``) —
 
-* ``event_per_tick`` — the reference engine: every link refresh tick is
-  its own heap event, no batching anywhere.
-* ``fast_forward`` — the coalescing engine: consecutive silent refresh
-  ticks run inline (single-stream batcher only).
-* ``batched`` — the batched timeline executor: array-backed event
-  storage, multi-stream homogeneous-run batch loop, memoised
-  assignment, closed-form water-filling.
-* ``event_driven`` — the batched executor plus the demand-driven
-  browser: scanner polls become state-transition subscriptions, link
-  refresh reschedules collapse through the lazy-tick flush, and
-  consecutive microtask deferrals share one heap event.
+* ``reference`` — the oracle: every link refresh tick and every
+  microtask deferral is its own heap event, and the preload scanner
+  polls on a standing 5 ms grid.
+* ``production`` — the array-backed executor with inline fast-forward
+  and homogeneous-run batch loops in the link, memoised assignment and
+  closed-form water-filling, lazy tick reschedules, coalesced microtask
+  deferrals, and demand-driven scanner wakeups on the poll's own grid.
 
-— and asserts all four :class:`LoadMetrics` are bit-identical before
+— and asserts the two :class:`LoadMetrics` are bit-identical before
 reporting anything.  The report then carries two kinds of numbers:
 
 * **Deterministic counters** (heap events scheduled/executed/cancelled,
-  link pokes, fast-forward steps, rate recomputations): pure functions
-  of the event trace, stable across machines, pinned as CI goldens by
-  ``repro bench engine --smoke``.
-* **Wall-clock** (seconds per load, speedups): machine-dependent,
+  link pokes, fast-forward steps, batch runs, scanner wakeups): pure
+  functions of the event trace, stable across machines, pinned as CI
+  goldens by ``repro bench engine --smoke``.
+* **Wall-clock** (seconds per load, speedup): machine-dependent,
   recorded in ``BENCH_engine.json`` for the trajectory.  CI only asserts
-  the deliberately conservative per-scenario *speedup floors* — batched
-  must not lose its edge over the fast-forward engine — never the raw
-  seconds.
+  the deliberately conservative per-scenario *speedup floors* — the
+  production engine must not lose its edge over the reference — never
+  the raw seconds.
 
 Scenario shapes:
 
 * ``corpus-news`` — a realistic synthetic News/Sports page under the
   push-all + fetch-asap configuration at LTE latency.  Thresholds
-  (completions, preload-scanner watches) dominate, so coalescing is
-  modest by design; this guards the realistic-workload counters.
+  (completions, preload-scanner watches) dominate; the production win
+  here is the elided scanner polls and coalesced microtasks.
 * ``push-all-high-rtt`` — the slow-start-heavy shape from the paper's
   motivation: high RTT, lossy link, server push keeping many streams
   concurrent while windows are still opening.  Refresh ticks dominate
-  and coalescing collapses the heap traffic (the >= 2x criterion).
+  and batch runs collapse the heap traffic.
 * ``single-stream-drain`` — one long cwnd-limited body drain, the purest
-  hot-path microbench: nearly every tick coalesces, so wall-clock
-  speedup reflects the inline loop (the >= 1.5x criterion).
+  hot-path microbench: nearly every tick is absorbed by the scalar
+  batch loop.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ from repro.calibration import DEFAULT_EVAL_HOUR
 from repro.core.push_policy import PushPolicy
 from repro.core.scheduler import FetchAsapScheduler
 from repro.core.server import vroom_servers
-from repro.net.http import NetworkConfig
+from repro.net.http import ENGINES, NetworkConfig
 from repro.net.link import StreamScheduling
 from repro.pages.corpus import news_sports_corpus
 from repro.pages.dynamics import LoadStamp
@@ -126,20 +122,6 @@ COUNTER_KEYS: Tuple[str, ...] = (
     "scanner_polls_elided",
 )
 
-#: The engine modes each scenario runs under, as
-#: ``(name, link_fast_forward, batched_timeline, event_driven_browser)``.
-#: The legacy modes force ``batched_timeline`` and
-#: ``event_driven_browser`` *off* explicitly — both default on in
-#: :class:`NetworkConfig` — so ``fast_forward`` stays the frozen PR 5
-#: engine and ``batched`` the frozen PR 6 engine that the event-driven
-#: browser is measured against.
-MODES: Tuple[Tuple[str, bool, bool, bool], ...] = (
-    ("event_per_tick", False, False, False),
-    ("fast_forward", True, False, False),
-    ("batched", True, True, False),
-    ("event_driven", True, True, True),
-)
-
 
 def _scenario_page(scenario: EngineScenario) -> PageBlueprint:
     if scenario.kind == "corpus":
@@ -184,9 +166,7 @@ def _load_once(
     snapshot: PageSnapshot,
     store: ReplayStore,
     scenario: EngineScenario,
-    fast_forward: bool,
-    batched: bool,
-    event_driven: bool,
+    engine: str,
 ) -> Tuple[LoadMetrics, float]:
     """One push-all + fetch-asap load; returns (metrics, wall seconds)."""
     servers = vroom_servers(
@@ -195,9 +175,7 @@ def _load_once(
     net_kwargs: Dict[str, object] = {
         "h2_scheduling": StreamScheduling.FAIR,
         "loss_rate": scenario.loss_rate,
-        "link_fast_forward": fast_forward,
-        "batched_timeline": batched,
-        "event_driven_browser": event_driven,
+        "engine": engine,
     }
     if scenario.base_rtt is not None:
         net_kwargs["base_rtt"] = scenario.base_rtt
@@ -213,92 +191,47 @@ def _load_once(
 
 
 def bench_scenario(scenario: EngineScenario, repeats: int = 3) -> dict:
-    """Benchmark one scenario; raises if any mode ever diverges."""
+    """Benchmark one scenario; raises if the engines ever diverge."""
     page, snapshot, store = _materialize(scenario)
     wall: Dict[str, float] = {}
     metrics: Dict[str, LoadMetrics] = {}
-    for mode, fast_forward, batched, event_driven in MODES:
-        best = None
-        for _ in range(max(1, repeats)):
-            result, elapsed = _load_once(
-                page,
-                snapshot,
-                store,
-                scenario,
-                fast_forward,
-                batched,
-                event_driven,
-            )
+    # Repeats alternate between the engines, so a burst of host load
+    # lands on both sides of the ratio instead of on one engine's runs.
+    for _ in range(max(1, repeats)):
+        for mode in ENGINES:
+            result, elapsed = _load_once(page, snapshot, store, scenario, mode)
             metrics[mode] = result
-            best = elapsed if best is None else min(best, elapsed)
-        wall[mode] = best or 0.0
-    reference = metrics["event_per_tick"]
-    for mode, _, _, _ in MODES[1:]:
-        if metrics[mode] != reference:
-            raise AssertionError(
-                f"scenario {scenario.name!r}: {mode} diverged from the "
-                f"event-per-tick engine (plt {reference.plt!r} vs "
-                f"{metrics[mode].plt!r})"
-            )
+            wall[mode] = min(wall.get(mode, elapsed), elapsed)
+    reference = metrics["reference"]
+    production = metrics["production"]
+    if production != reference:
+        raise AssertionError(
+            f"scenario {scenario.name!r}: production diverged from the "
+            f"reference engine (plt {reference.plt!r} vs "
+            f"{production.plt!r})"
+        )
     counters = {
         mode: {
             key: metrics[mode].engine_counters[key] for key in COUNTER_KEYS
         }
-        for mode, _, _, _ in MODES
+        for mode in ENGINES
     }
-    scheduled_ff = max(1, counters["fast_forward"]["events_scheduled"])
-    scheduled_batched = max(1, counters["batched"]["events_scheduled"])
-    scheduled_ed = max(1, counters["event_driven"]["events_scheduled"])
     return {
         "scenario": scenario.name,
         "description": scenario.description,
         "plt": reference.plt,
         "bit_identical": True,
-        "counters_event_per_tick": counters["event_per_tick"],
-        "counters_fast_forward": counters["fast_forward"],
-        "counters_batched": counters["batched"],
-        "counters_event_driven": counters["event_driven"],
+        "counters_reference": counters["reference"],
+        "counters_production": counters["production"],
         "event_reduction": (
-            counters["event_per_tick"]["events_scheduled"] / scheduled_ff
+            counters["reference"]["events_scheduled"]
+            / max(1, counters["production"]["events_scheduled"])
         ),
-        "batched_event_reduction": (
-            counters["event_per_tick"]["events_scheduled"]
-            / scheduled_batched
-        ),
-        #: The PR criterion: heap traffic of the demand-driven browser
-        #: vs the reference engine on the same page.
-        "event_reduction_event_driven": (
-            counters["event_per_tick"]["events_scheduled"] / scheduled_ed
-        ),
-        "wall_event_per_tick_sec": wall["event_per_tick"],
-        "wall_fast_forward_sec": wall["fast_forward"],
-        "wall_batched_sec": wall["batched"],
-        "wall_event_driven_sec": wall["event_driven"],
+        "wall_reference_sec": wall["reference"],
+        "wall_production_sec": wall["production"],
         "wall_speedup": (
-            wall["event_per_tick"] / wall["fast_forward"]
-            if wall["fast_forward"] > 0
-            else 0.0
-        ),
-        #: The PR 6 criterion: batched executor vs the frozen PR 5 engine.
-        "wall_batched_speedup": (
-            wall["fast_forward"] / wall["batched"]
-            if wall["batched"] > 0
-            else 0.0
-        ),
-        "wall_batched_vs_event_per_tick": (
-            wall["event_per_tick"] / wall["batched"]
-            if wall["batched"] > 0
-            else 0.0
-        ),
-        #: Event-driven browser vs the frozen PR 6 batched executor.
-        "wall_event_driven_speedup": (
-            wall["batched"] / wall["event_driven"]
-            if wall["event_driven"] > 0
-            else 0.0
-        ),
-        "wall_event_driven_vs_event_per_tick": (
-            wall["event_per_tick"] / wall["event_driven"]
-            if wall["event_driven"] > 0
+            wall["reference"] / wall["production"]
+            if wall["production"] > 0
             else 0.0
         ),
     }
@@ -317,141 +250,91 @@ def engine_benchmark(
     }
 
 
-#: Golden deterministic counters per scenario, asserted by ``--smoke``.
-#: Any hot-path change that alters the event trace shows up here —
-#: without the flakiness of asserting wall-clock in CI.  Regenerate by
-#: running ``repro bench engine --smoke`` and copying the printed
-#: counters after verifying the change is intentional.
-SMOKE_GOLDENS: Dict[str, Dict[str, int]] = {
+#: Golden deterministic counters per scenario, asserted by ``--smoke``,
+#: as ``counter -> (reference, production)``.  Any hot-path change that
+#: alters the event trace shows up here — without the flakiness of
+#: asserting wall-clock in CI.  Regenerate by running ``repro bench
+#: engine --smoke`` and copying the printed counters after verifying the
+#: change is intentional.
+SMOKE_GOLDENS: Dict[str, Dict[str, Tuple[int, int]]] = {
     "corpus-news": {
-        "events_scheduled_event_per_tick": 1636,
-        "events_scheduled_fast_forward": 1631,
-        "events_scheduled_batched": 1631,
-        "events_scheduled_event_driven": 1004,
-        "events_cancelled_event_driven": 46,
-        "link_pokes": 553,
-        "link_fast_forward_steps": 5,
-        "link_batch_runs": 1,
-        "link_batch_steps": 2,
-        "link_wf_fast_hits": 60,
-        "link_batch_runs_event_driven": 2,
-        "link_batch_steps_event_driven": 3,
-        "link_tick_keeps": 1,
-        "soon_coalesced": 113,
-        "browser_wakeups": 2,
-        "scanner_polls_elided": 259,
+        "events_scheduled": (1636, 1004),
+        "events_executed": (1338, 958),
+        "events_cancelled": (298, 46),
+        "heap_compactions": (2, 0),
+        "inline_advances": (0, 8),
+        "link_pokes": (553, 553),
+        "link_fast_forward_steps": (0, 8),
+        "link_rate_recomputes": (158, 128),
+        "link_batch_runs": (0, 2),
+        "link_batch_steps": (0, 3),
+        "link_wf_fast_hits": (0, 60),
+        "link_tick_keeps": (0, 1),
+        "soon_coalesced": (0, 113),
+        "browser_wakeups": (261, 2),
+        "scanner_polls_elided": (0, 259),
     },
     "push-all-high-rtt": {
-        "events_scheduled_event_per_tick": 317,
-        "events_scheduled_fast_forward": 110,
-        "events_scheduled_batched": 110,
-        "events_scheduled_event_driven": 64,
-        "events_cancelled_event_driven": 1,
-        "link_pokes": 246,
-        "link_fast_forward_steps": 207,
-        "link_batch_runs": 3,
-        "link_batch_steps": 204,
-        "link_wf_fast_hits": 0,
-        "link_batch_runs_event_driven": 3,
-        "link_batch_steps_event_driven": 204,
-        "link_tick_keeps": 0,
-        "soon_coalesced": 22,
-        "browser_wakeups": 1,
-        "scanner_polls_elided": 0,
+        "events_scheduled": (317, 64),
+        "events_executed": (292, 63),
+        "events_cancelled": (25, 1),
+        "heap_compactions": (0, 0),
+        "inline_advances": (0, 207),
+        "link_pokes": (246, 246),
+        "link_fast_forward_steps": (0, 207),
+        "link_rate_recomputes": (0, 0),
+        "link_batch_runs": (0, 3),
+        "link_batch_steps": (0, 204),
+        "link_wf_fast_hits": (0, 0),
+        "link_tick_keeps": (0, 0),
+        "soon_coalesced": (0, 22),
+        "browser_wakeups": (1, 1),
+        "scanner_polls_elided": (0, 0),
     },
     "single-stream-drain": {
-        "events_scheduled_event_per_tick": 1281,
-        "events_scheduled_fast_forward": 27,
-        "events_scheduled_batched": 27,
-        "events_scheduled_event_driven": 23,
-        "events_cancelled_event_driven": 1,
-        "link_pokes": 1266,
-        "link_fast_forward_steps": 1254,
-        "link_batch_runs": 2,
-        "link_batch_steps": 1251,
-        "link_wf_fast_hits": 0,
-        "link_batch_runs_event_driven": 2,
-        "link_batch_steps_event_driven": 1251,
-        "link_tick_keeps": 0,
-        "soon_coalesced": 1,
-        "browser_wakeups": 1,
-        "scanner_polls_elided": 0,
+        "events_scheduled": (1281, 23),
+        "events_executed": (1277, 22),
+        "events_cancelled": (4, 1),
+        "heap_compactions": (0, 0),
+        "inline_advances": (0, 1254),
+        "link_pokes": (1266, 1266),
+        "link_fast_forward_steps": (0, 1254),
+        "link_rate_recomputes": (0, 0),
+        "link_batch_runs": (0, 2),
+        "link_batch_steps": (0, 1251),
+        "link_wf_fast_hits": (0, 0),
+        "link_tick_keeps": (0, 0),
+        "soon_coalesced": (0, 1),
+        "browser_wakeups": (1, 1),
+        "scanner_polls_elided": (0, 0),
     },
 }
 
-#: Minimum acceptable ``wall_batched_speedup`` (batched vs the PR 5
-#: fast-forward engine) per scenario.  Deliberately far below the
-#: steady-state measurements (≈1.45x / 1.40x / 1.10x on the reference
-#: container) so shared-runner noise cannot trip CI, while an actual
-#: loss of the batched executor's edge — a regression back to PR 5
-#: wall-clock — still fails the smoke job.
+#: Minimum acceptable ``wall_speedup`` (production over reference) per
+#: scenario: at least 25% below the lowest best-of-three ``--smoke``
+#: measurement (1.40x / 1.37x / 1.90x on a 2-CPU container) so
+#: shared-runner noise cannot trip CI, while losing the production
+#: engine's edge still fails the smoke job.  See
+#: ``docs/PERFORMANCE.md`` for the full census.
 SPEEDUP_FLOORS: Dict[str, float] = {
     "corpus-news": 1.05,
-    "push-all-high-rtt": 1.05,
-    "single-stream-drain": 0.90,
-}
-
-#: Minimum acceptable ``wall_event_driven_speedup`` (event-driven
-#: browser vs the frozen PR 6 batched engine) per scenario.  On the
-#: tick-dominated shapes the event-driven engine wins outright
-#: (≈1.20x / 1.18x steady-state on an idle reference container), but
-#: those loads finish in single-digit milliseconds and on a busy
-#: machine the ratio hovers near parity — so, like the PR 6 floors
-#: above, these sit deliberately far below the measurements (≥25%
-#: margin) to keep shared-runner noise out of CI while a real
-#: regression (the event-driven engine becoming meaningfully *slower*
-#: than batched) still fails.  On ``corpus-news`` the heap collapse is
-#: real (1.63x fewer events) but the removed events were *cheap* — the
-#: load is assignment-bound (``_assign_and_horizon_batched``), so
-#: wall-clock is parity by design and the floor only guards against an
-#: actual regression.  See ``docs/PERFORMANCE.md`` for the full
-#: census.
-EVENT_DRIVEN_SPEEDUP_FLOORS: Dict[str, float] = {
-    "corpus-news": 0.75,
-    "push-all-high-rtt": 0.80,
-    "single-stream-drain": 0.75,
+    "push-all-high-rtt": 1.00,
+    "single-stream-drain": 1.40,
 }
 
 
-def smoke_counters(report: dict) -> Dict[str, Dict[str, int]]:
+def smoke_counters(report: dict) -> Dict[str, Dict[str, Tuple[int, int]]]:
     """The golden-comparable slice of an :func:`engine_benchmark` report."""
-    observed: Dict[str, Dict[str, int]] = {}
-    for row in report["scenarios"]:
-        batched = row["counters_batched"]
-        event_driven = row["counters_event_driven"]
-        observed[row["scenario"]] = {
-            "events_scheduled_event_per_tick": row[
-                "counters_event_per_tick"
-            ]["events_scheduled"],
-            "events_scheduled_fast_forward": row["counters_fast_forward"][
-                "events_scheduled"
-            ],
-            "events_scheduled_batched": batched["events_scheduled"],
-            "events_scheduled_event_driven": event_driven[
-                "events_scheduled"
-            ],
-            "events_cancelled_event_driven": event_driven[
-                "events_cancelled"
-            ],
-            "link_pokes": row["counters_fast_forward"]["link_pokes"],
-            "link_fast_forward_steps": row["counters_fast_forward"][
-                "link_fast_forward_steps"
-            ],
-            "link_batch_runs": batched["link_batch_runs"],
-            "link_batch_steps": batched["link_batch_steps"],
-            "link_wf_fast_hits": batched["link_wf_fast_hits"],
-            "link_batch_runs_event_driven": event_driven[
-                "link_batch_runs"
-            ],
-            "link_batch_steps_event_driven": event_driven[
-                "link_batch_steps"
-            ],
-            "link_tick_keeps": event_driven["link_tick_keeps"],
-            "soon_coalesced": event_driven["soon_coalesced"],
-            "browser_wakeups": event_driven["browser_wakeups"],
-            "scanner_polls_elided": event_driven["scanner_polls_elided"],
+    return {
+        row["scenario"]: {
+            key: (
+                row["counters_reference"][key],
+                row["counters_production"][key],
+            )
+            for key in COUNTER_KEYS
         }
-    return observed
+        for row in report["scenarios"]
+    }
 
 
 def profile_scenario(
@@ -459,17 +342,16 @@ def profile_scenario(
     scenario_name: str = "corpus-news",
     loads: int = 5,
     top: int = 25,
-    mode: str = "event_driven",
+    mode: str = "production",
 ) -> str:
-    """cProfile ``loads`` loads of one scenario under one engine mode.
+    """cProfile ``loads`` loads of one scenario under one engine.
 
-    ``mode`` is any :data:`MODES` name (``event_per_tick``,
-    ``fast_forward``, ``batched``, ``event_driven``); the default
-    profiles the full event-driven stack.  Dumps the raw ``pstats``
-    data to ``stats_path`` (for ``snakeviz`` / ``pstats`` digging
-    offline) and returns the top-``top`` cumulative table as text —
-    the CI engine-bench job archives both, so every run carries the
-    evidence of where the hot path's time actually went.
+    ``mode`` is either engine name; the default profiles the
+    production engine.  Dumps the raw ``pstats`` data to ``stats_path``
+    (for ``snakeviz`` / ``pstats`` digging offline) and returns the
+    top-``top`` cumulative table as text — the CI engine-bench job
+    archives both, so every run carries the evidence of where the hot
+    path's time actually went.
     """
     import cProfile
     import io
@@ -478,21 +360,15 @@ def profile_scenario(
     scenario = next(
         item for item in SCENARIOS if item.name == scenario_name
     )
-    try:
-        _, fast_forward, batched, event_driven = next(
-            row for row in MODES if row[0] == mode
+    if mode not in ENGINES:
+        raise ValueError(
+            f"unknown engine mode {mode!r} (one of: {', '.join(ENGINES)})"
         )
-    except StopIteration:
-        names = ", ".join(row[0] for row in MODES)
-        raise ValueError(f"unknown engine mode {mode!r} (one of: {names})")
     page, snapshot, store = _materialize(scenario)
 
     def run() -> None:
         for _ in range(loads):
-            _load_once(
-                page, snapshot, store, scenario,
-                fast_forward, batched, event_driven,
-            )
+            _load_once(page, snapshot, store, scenario, mode)
 
     run()  # warm caches so the profile reflects steady state
     profiler = cProfile.Profile()
@@ -515,26 +391,25 @@ def smoke_run() -> dict:
     return engine_benchmark(repeats=3)
 
 
-#: Counters that measure which *implementation* ran, not the trace.
-#: Under ``REPRO_AUDIT=1`` the batch loops stand down (the generic loop
-#: validates every step individually, so runs/steps read zero) and the
-#: memoised allocator is bypassed (so the closed-form solver is hit a
-#: different number of times).  These are not comparable to the goldens
-#: there — but every trace-shaped counter (events, pokes, fast-forward
-#: steps) must still match exactly, and that is what the audited smoke
-#: run asserts.  Microtask batching also stands down under audit (the
-#: seq-gap coalescing guard is an implementation shortcut the auditor
-#: refuses), so the event-driven heap totals and the coalescing counter
-#: shift by exactly the coalesced count; the demand-driven trace
-#: counters (``browser_wakeups``, ``scanner_polls_elided``,
-#: ``link_tick_keeps``, cancellations) stay pinned even when audited.
+#: Production counters that measure which *implementation* ran, not
+#: the trace.  Under ``REPRO_AUDIT=1`` the batch loops stand down (the
+#: generic loop validates every step individually, so runs/steps read
+#: zero), the memoised allocator is bypassed (so the closed-form and
+#: general solvers are hit a different number of times), and microtask
+#: batching stands down (the seq-gap coalescing guard is an
+#: implementation shortcut the auditor refuses), so the heap totals shift
+#: by exactly the coalesced count.  These are not comparable to the
+#: goldens there — but every trace-shaped counter (cancellations, pokes,
+#: fast-forward steps, wakeups, elided polls, tick keeps) and every
+#: reference counter must still match exactly, and that is what the
+#: audited smoke run asserts.
 _IMPLEMENTATION_COUNTERS = (
+    "events_scheduled",
+    "events_executed",
+    "link_rate_recomputes",
     "link_batch_runs",
     "link_batch_steps",
     "link_wf_fast_hits",
-    "link_batch_runs_event_driven",
-    "link_batch_steps_event_driven",
-    "events_scheduled_event_driven",
     "soon_coalesced",
 )
 
@@ -545,48 +420,35 @@ def smoke_check(report: dict) -> List[str]:
     observed = smoke_counters(report)
     audited = audit.ENABLED
     speedups = {
-        row["scenario"]: row["wall_batched_speedup"]
-        for row in report["scenarios"]
-    }
-    ed_speedups = {
-        row["scenario"]: row.get("wall_event_driven_speedup")
-        for row in report["scenarios"]
+        row["scenario"]: row["wall_speedup"] for row in report["scenarios"]
     }
     for scenario, golden in SMOKE_GOLDENS.items():
         actual = observed.get(scenario)
         if actual is None:
             problems.append(f"{scenario}: missing from report")
             continue
-        for field, expected in golden.items():
-            if audited and field in _IMPLEMENTATION_COUNTERS:
-                continue
-            if actual.get(field) != expected:
-                problems.append(
-                    f"{scenario}.{field}: expected {expected!r}, "
-                    f"got {actual.get(field)!r}"
-                )
+        for key, expected in golden.items():
+            got = actual[key]
+            for mode, want, have in zip(ENGINES, expected, got):
+                if mode == "production" and audited and (
+                    key in _IMPLEMENTATION_COUNTERS
+                ):
+                    continue
+                if have != want:
+                    problems.append(
+                        f"{scenario}.{key} ({mode}): expected {want!r}, "
+                        f"got {have!r}"
+                    )
         if audited:
             # Audited walls time the stand-down engine plus per-step
-            # validation, not the batched executor; no floor applies.
+            # validation, not the production engine; no floor applies.
             continue
         floor = SPEEDUP_FLOORS.get(scenario)
         speedup = speedups.get(scenario)
         if floor is not None and speedup is not None and speedup < floor:
             problems.append(
-                f"{scenario}.wall_batched_speedup: {speedup:.2f}x fell "
-                f"below the {floor:.2f}x floor — the batched executor "
-                "lost its wall-clock edge over the fast-forward engine"
-            )
-        ed_floor = EVENT_DRIVEN_SPEEDUP_FLOORS.get(scenario)
-        ed_speedup = ed_speedups.get(scenario)
-        if (
-            ed_floor is not None
-            and ed_speedup is not None
-            and ed_speedup < ed_floor
-        ):
-            problems.append(
-                f"{scenario}.wall_event_driven_speedup: {ed_speedup:.2f}x "
-                f"fell below the {ed_floor:.2f}x floor — the event-driven "
-                "browser lost its wall-clock edge over the batched engine"
+                f"{scenario}.wall_speedup: {speedup:.2f}x fell below the "
+                f"{floor:.2f}x floor — the production engine lost its "
+                "wall-clock edge over the reference engine"
             )
     return problems

@@ -38,6 +38,10 @@ class HttpVersion(enum.Enum):
     HTTP2 = "http/2"
 
 
+#: The two page-load engines :attr:`NetworkConfig.engine` selects.
+ENGINES = ("reference", "production")
+
+
 @dataclass
 class NetworkConfig:
     """Transport knobs for one experiment configuration."""
@@ -67,26 +71,20 @@ class NetworkConfig:
     max_retries: int = 0
     #: First retry delay in seconds; doubles with each further retry.
     retry_backoff: float = 0.25
-    #: Coalesce the link's refresh ticks into inline clock advances.
-    #: Bit-identical to the event-per-tick path; off exists for the
-    #: equivalence suite and for bisecting engine regressions.
-    link_fast_forward: bool = True
-    #: Batched timeline executor: array-backed event storage
-    #: (:class:`~repro.net.simulator.ArraySimulator`) plus the link's
-    #: homogeneous-run batch loop, busy-set cache and closed-form
-    #: water-filling.  Bit-identical to the reference engine; off selects
-    #: the PR-5 per-object engine for equivalence and bisection.
-    batched_timeline: bool = True
-    #: Route general water-filling recomputes through the numpy-backed
-    #: vectorised solver (:mod:`repro.net.flow`).  Opt-in; numpy is a
-    #: soft dependency — without it the solver falls back to pure python.
-    vectorized_flow: bool = False
-    #: Demand-driven browser wakeups: the preload scanner arms from
-    #: fetch-created callbacks landing on the legacy poll's exact 5 ms
-    #: grid, eliding every no-op poll tick so silent link windows stay
-    #: open for batch runs.  Bit-identical to the poll engine; off keeps
-    #: the standing poll loop for equivalence and bisection.
-    event_driven_browser: bool = True
+    #: Page-load engine (one of :data:`ENGINES`).  ``"production"`` runs
+    #: on the array-backed executor with inline fast-forward, batch runs,
+    #: lazy link ticks, microtask batching and event-driven scanner
+    #: wakeups; ``"reference"`` is the oracle it is tested against: one
+    #: heap event per link tick and deferral, and the 5 ms scanner poll.
+    #: The two are bit-identical in every observable.
+    engine: str = "production"
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r} "
+                f"(one of: {', '.join(ENGINES)})"
+            )
 
     def rtt_to(self, server: OriginServer) -> float:
         if self.zero_latency:
@@ -196,13 +194,7 @@ class HttpClient:
         self.servers = servers
         self.config = config or NetworkConfig()
         self.link = AccessLink(
-            sim,
-            self.config.downlink_bps,
-            loss_rate=self.config.loss_rate,
-            fast_forward=self.config.link_fast_forward,
-            batched=self.config.batched_timeline,
-            vectorized_flow=self.config.vectorized_flow,
-            lazy_ticks=self.config.event_driven_browser,
+            sim, self.config.downlink_bps, loss_rate=self.config.loss_rate
         )
         self._domains: Dict[str, _DomainState] = {}
         #: url -> Fetch for every exchange ever started (including pushes).

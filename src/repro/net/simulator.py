@@ -8,36 +8,37 @@ Cancelled events are *compacted* out of the heap lazily: the simulator
 counts cancellations and rebuilds the heap once cancelled entries dominate,
 so models that churn timer events (e.g. the link's rate-refresh tick) never
 drag a long tail of dead events through every ``heappop``.  The live-event
-count is maintained incrementally, making :meth:`Simulator.pending` O(1)
-instead of an O(n) scan.
+count is maintained incrementally, making ``pending()`` O(1) instead of an
+O(n) scan.
 
-For models that tick themselves repeatedly (again, the link's refresh
-tick), :meth:`Simulator.advance_inline` lets the *currently executing*
-callback move the clock forward without a heap round-trip.  The advance is
-refused unless it is unobservable — strictly forward, strictly before the
-next pending event, and within the active ``run(until=...)`` cap — so a
-model that checks the return value executes the exact same callbacks at
-the exact same times as its event-per-tick equivalent.
+Two executors back the two page-load engines (``NetworkConfig.engine``):
 
-Two executors share that contract:
-
-* :class:`Simulator` — the reference engine: one :class:`Event` object per
-  scheduled callback, popped and dispatched one at a time.
-* :class:`ArraySimulator` — the batched timeline executor's storage layer:
+* :class:`Simulator` — the **reference** engine: one :class:`Event`
+  object per scheduled callback, popped and dispatched one at a time.
+  Every deferral is its own heap event and the clock only ever moves by
+  popping one.
+* :class:`ArraySimulator` — the **production** engine's storage layer:
   struct-of-arrays event state (a heap of packed ``(time, seq, slot)``
   tuples ordered entirely by C-level tuple comparison, plus slot-indexed
   parallel lists for callback and generation) with a tiny ``__slots__``
-  :class:`EventHandle` handed out only at the API boundary.  It executes
-  the exact same callbacks at the exact same times in the exact same order
-  as :class:`Simulator` — the heap ordering key is identical — it just
-  stops allocating one Python object and one rich-comparison call chain
-  per event.  Selected by ``NetworkConfig.batched_timeline``.
+  :class:`EventHandle` handed out only at the API boundary.  On top of
+  the shared contract it offers three unobservable shortcuts:
+  :meth:`ArraySimulator.advance_inline` lets the currently executing
+  callback move the clock without a heap round-trip (refused unless
+  strictly forward, strictly before the next pending event and within
+  the active ``run(until=...)`` cap); :meth:`ArraySimulator.defer`
+  materialises one wakeup just before the clock next advances; and
+  :meth:`ArraySimulator.call_soon` drains consecutive deferrals through
+  one shared heap event.  It executes the exact same callbacks at the
+  exact same times in the exact same order as :class:`Simulator` — the
+  heap ordering key is identical.
 
 The deterministic perf counters (``events_scheduled``, ``executed``,
-``events_cancelled``, ``inline_advances``, ``compactions``) depend only on
-the event trace, never on wall time, so they are stable across machines
-and usable as CI regression goldens.  Both executors maintain them with
-identical semantics.
+``events_cancelled``, ``inline_advances``, ``compactions``,
+``soon_coalesced``) depend only on the event trace, never on wall time,
+so they are stable across machines and usable as CI regression goldens.
+Both executors expose them with identical semantics; the reference engine
+never advances inline or coalesces, so its last two read zero.
 """
 
 from __future__ import annotations
@@ -87,33 +88,20 @@ class Simulator:
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
-        #: ``until`` cap of the active :meth:`run`, honoured by
-        #: :meth:`advance_inline`; None outside a capped run.
-        self._until: Optional[float] = None
-        #: Deferred materialisation hook (see :meth:`defer`).
-        self._deferred: Optional[Callable[[], None]] = None
-        #: Microtask batching (see :meth:`call_soon`).  Off by default —
-        #: the event-driven browser engine opts in; the reference trace
-        #: every equivalence suite compares against keeps one heap event
-        #: per deferral.
-        self.microtask_batching = False
-        self._soon_batch: Optional[List[Callable[[], None]]] = None
-        self._soon_last = -1
-        self._soon_event: Optional[Event] = None
-        #: Microtask-batch counter: deferrals appended to a pending batch
-        #: instead of pushed as their own heap event.
-        self.soon_coalesced = 0
         #: Cancelled events still sitting in the heap.
         self._cancelled = 0
         #: Total events executed (exposed for runaway detection / stats).
         self.executed = 0
         #: Heap rebuilds performed by lazy compaction (exposed for tests).
         self.compactions = 0
-        #: Deterministic perf counters: heap events pushed, in-heap events
-        #: cancelled, and clock advances taken inline (no heap event).
+        #: Deterministic perf counters: heap events pushed and in-heap
+        #: events cancelled.  The reference engine never advances the
+        #: clock inline nor coalesces deferrals, so the last two stay 0;
+        #: they exist so both executors expose one counter set.
         self.events_scheduled = 0
         self.events_cancelled = 0
         self.inline_advances = 0
+        self.soon_coalesced = 0
 
     @property
     def now(self) -> float:
@@ -147,8 +135,8 @@ class Simulator:
         The event lands at exactly ``max(now, time)`` — not at
         ``now + (time - now)``, whose round trip through a relative
         delay can be off by one ulp.  Callers that must hit a shared
-        absolute grid point bit-exactly (the browser's event-driven
-        scanner wakeups reproducing the legacy poll grid) depend on
+        absolute grid point bit-exactly (the production engine's
+        scanner wakeups reproducing the reference poll grid) depend on
         this.
         """
         event = Event(max(self._now, time), next(self._seq), callback)
@@ -157,80 +145,9 @@ class Simulator:
         self.events_scheduled += 1
         return event
 
-    # repro: hotpath
     def call_soon(self, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` at the current time, after pending same-time events.
-
-        With :attr:`microtask_batching` enabled (the event-driven browser
-        mode), *consecutive* deferrals drain through one heap event: a
-        ``call_soon`` whose allocated sequence number immediately follows
-        the previous batched deferral's — proof that nothing else was
-        scheduled in between, so no event can possibly order between the
-        two — appends to the pending batch instead of pushing.  Execution
-        order is identical by construction, not by measure: same-time
-        events interleave purely by sequence number, and the guard
-        guarantees the gap between batched neighbours is empty.  Appends
-        remain sound *during* the batch's own drain (a drained callback's
-        first deferral lands exactly where the reference would run it);
-        the batch seals when the drain returns.  Stands down under
-        ``REPRO_AUDIT=1`` so the audited trace keeps one executed event
-        per deferral for the per-event clock checks.  Batched deferrals
-        share one :class:`Event`; no caller in the tree cancels a
-        soon-event, so the shared handle is safe.
-        """
-        if self.microtask_batching and not audit.ENABLED:
-            seq = next(self._seq)
-            batch = self._soon_batch
-            if batch is not None and seq == self._soon_last + 1:
-                batch.append(callback)
-                self._soon_last = seq
-                self.soon_coalesced += 1
-                return self._soon_event  # type: ignore[return-value]
-            batch = [callback]
-            self._soon_batch = batch
-            self._soon_last = seq
-
-            def drain() -> None:
-                try:
-                    i = 0
-                    while i < len(batch):
-                        batch[i]()
-                        i += 1
-                finally:
-                    if self._soon_batch is batch:
-                        self._soon_batch = None
-
-            event = Event(self._now, seq, drain)
-            event.sim = self
-            heapq.heappush(self._queue, event)
-            self.events_scheduled += 1
-            self._soon_event = event
-            return event
+        """Run ``callback`` at the current time, after pending same-time events."""
         return self.schedule(0.0, callback)
-
-    def defer(self, materialize: Callable[[], None]) -> None:
-        """Run ``materialize`` once, just before the clock next advances.
-
-        The hook fires when the executor is about to leave the current
-        timestamp — before executing any strictly-later event, before
-        concluding a drained or ``until``-capped run, and before any
-        :meth:`peek_time` heap inspection — so whatever events it pushes
-        land in the heap exactly when an eager caller's would become
-        *observable*.  Callers that re-derive one wakeup many times
-        within a single timestamp (the access link's refresh tick) use
-        it to collapse every same-timestamp schedule/cancel pair into at
-        most one real heap push.  Single-slot by contract: at most one
-        component per simulator defers (a second owner would overwrite
-        the first), which the access link — its only user — satisfies.
-        The hook must only push events at strictly future times;
-        same-time wakeups must be scheduled eagerly, or they would jump
-        the queue of already-pending same-time events.
-        """
-        self._deferred = materialize
-
-    def cancel_deferred(self) -> None:
-        """Drop a pending :meth:`defer` hook without running it."""
-        self._deferred = None
 
     def _note_cancelled(self) -> None:
         self._cancelled += 1
@@ -270,7 +187,6 @@ class Simulator:
         if self._running:
             raise RuntimeError("simulator is not reentrant")
         self._running = True
-        self._until = until
         heappop = heapq.heappop
         heappush = heapq.heappush
         try:
@@ -280,25 +196,11 @@ class Simulator:
                 # repro: allow[PERF403] hoisting would pin the
                 # pre-compaction queue object and silently drop events.
                 if not self._queue:
-                    deferred = self._deferred
-                    if deferred is None:
-                        break
-                    self._deferred = None
-                    deferred()
-                    continue
+                    break
                 event = heappop(self._queue)
                 if event.cancelled:
                     event.sim = None
                     self._cancelled -= 1
-                    continue
-                if self._deferred is not None and event.time > self._now:
-                    # About to leave the current timestamp: let the
-                    # deferred hook materialise its wakeup first (it may
-                    # land earlier than this event), then re-enter.
-                    heappush(self._queue, event)
-                    deferred = self._deferred
-                    self._deferred = None
-                    deferred()
                     continue
                 if until is not None and event.time > until:
                     heappush(self._queue, event)
@@ -324,43 +226,10 @@ class Simulator:
                     event.callback()
         finally:
             self._running = False
-            self._until = None
         return self._now
 
-    def advance_inline(self, target: float) -> bool:
-        """Move the clock to ``target`` from inside a running callback.
-
-        Returns True and advances only when the jump is *unobservable*:
-        strictly forward, strictly before the next pending event, and not
-        past the active ``run(until=...)`` cap.  Otherwise returns False
-        and leaves the clock untouched, so the caller falls back to
-        scheduling a regular heap event — which keeps the executed event
-        trace bit-identical to the event-per-tick engine.
-        """
-        if target <= self._now:
-            return False
-        if self._until is not None and target > self._until:
-            return False
-        next_time = self.peek_time()
-        if next_time is not None and next_time <= target:
-            return False
-        if audit.ENABLED:
-            audit.fast_forward_bounds(self._now, target, next_time)
-        self._now = target
-        self.inline_advances += 1
-        return True
-
     def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, if any.
-
-        Flushes a pending :meth:`defer` hook first: a deferred wakeup is
-        a scheduling decision already taken, so any heap inspection must
-        see the event it will push.
-        """
-        deferred = self._deferred
-        if deferred is not None:
-            self._deferred = None
-            deferred()
+        """Time of the next pending event, if any."""
         queue = self._queue
         while queue and queue[0].cancelled:
             dead = heapq.heappop(queue)
@@ -431,11 +300,12 @@ class ArraySimulator:
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
+        #: ``until`` cap of the active :meth:`run`, honoured by
+        #: :meth:`advance_inline`; None outside a capped run.
         self._until: Optional[float] = None
-        #: Deferred materialisation hook (see :meth:`Simulator.defer`).
+        #: Deferred materialisation hook (see :meth:`defer`).
         self._deferred: Optional[Callable[[], None]] = None
-        #: Microtask batching (see :meth:`Simulator.call_soon`).
-        self.microtask_batching = False
+        #: Open microtask batch (see :meth:`call_soon`).
         self._soon_batch: Optional[List[Callable[[], None]]] = None
         self._soon_last = -1
         self.soon_coalesced = 0
@@ -474,11 +344,11 @@ class ArraySimulator:
     def schedule_raw(self, delay: float, callback: Callable[[], None]) -> int:
         """Heap-schedule without building an :class:`EventHandle`.
 
-        Returns the storage slot.  For hot callers (the link's refresh
-        tick) that keep the *only* reference to the event and know it is
-        still pending — the callback clears the caller's record when it
-        runs — the slot plus :meth:`_cancel_slot` replaces the handle at
-        zero allocations.  The sequence counter, heap entry and counters
+        Returns the storage slot.  For hot callers that keep the *only*
+        reference to the event and know it is still pending — the
+        callback clears the caller's record when it runs — the slot plus
+        :meth:`_cancel_slot` replaces the handle at zero allocations.
+        The sequence counter, heap entry and counters
         are exactly those of :meth:`schedule`; only the handle is
         skipped.  Precondition: ``delay >= 0`` (callers clamp).
         """
@@ -563,58 +433,78 @@ class ArraySimulator:
     def call_soon(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` at the current time, after pending same-time events.
 
-        No caller in the tree cancels a soon-event, so unlike the
-        reference engine this returns no handle — sparing one allocation
-        on what is (with watch fires and completions) one of the hottest
-        scheduling paths.  Scheduling semantics and counters are exactly
-        :meth:`schedule` with zero delay.
+        *Consecutive* deferrals drain through one heap event: a
+        ``call_soon`` whose allocated sequence number immediately follows
+        the previous batched deferral's — proof that nothing else was
+        scheduled in between, so no event can possibly order between the
+        two — appends to the pending batch instead of pushing.  Execution
+        order is identical to one heap event per deferral by
+        construction, not by measure: same-time events interleave purely
+        by sequence number, and the guard guarantees the gap between
+        batched neighbours is empty.  Appends remain sound *during* the
+        batch's own drain (a drained callback's first deferral lands
+        exactly where the reference would run it); the batch seals when
+        the drain returns.  Stands down under ``REPRO_AUDIT=1`` so the
+        audited trace keeps one executed event per deferral for the
+        per-event clock checks.
 
-        With :attr:`microtask_batching` enabled, consecutive deferrals
-        coalesce into one heap event under the sequence-gap guard proven
-        in :meth:`Simulator.call_soon`; stands down under audit.
+        No caller in the tree cancels a soon-event, so this returns no
+        handle — sparing one allocation on what is (with watch fires and
+        completions) one of the hottest scheduling paths.
         """
-        if self.microtask_batching and not audit.ENABLED:
-            seq = next(self._seq)
-            batch = self._soon_batch
-            if batch is not None and seq == self._soon_last + 1:
-                batch.append(callback)
-                self._soon_last = seq
-                self.soon_coalesced += 1
-                return
-            batch = [callback]
-            self._soon_batch = batch
-            self._soon_last = seq
-
-            def drain() -> None:
-                try:
-                    i = 0
-                    while i < len(batch):
-                        batch[i]()
-                        i += 1
-                finally:
-                    if self._soon_batch is batch:
-                        self._soon_batch = None
-
-            free = self._free
-            if free:
-                slot = free.pop()
-                self._cb[slot] = drain
-                self._slot_seq[slot] = seq
-            else:
-                slot = len(self._cb)
-                self._cb.append(drain)
-                self._slot_seq.append(seq)
-            heapq.heappush(self._queue, (self._now, seq, slot))
-            self.events_scheduled += 1
+        if audit.ENABLED:
+            self.schedule_raw(0.0, callback)
             return
-        self.schedule_raw(0.0, callback)
+        seq = next(self._seq)
+        batch = self._soon_batch
+        if batch is not None and seq == self._soon_last + 1:
+            batch.append(callback)
+            self._soon_last = seq
+            self.soon_coalesced += 1
+            return
+        batch = [callback]
+        self._soon_batch = batch
+        self._soon_last = seq
+
+        def drain() -> None:
+            try:
+                i = 0
+                while i < len(batch):
+                    batch[i]()
+                    i += 1
+            finally:
+                if self._soon_batch is batch:
+                    self._soon_batch = None
+
+        free = self._free
+        if free:
+            slot = free.pop()
+            self._cb[slot] = drain
+            self._slot_seq[slot] = seq
+        else:
+            slot = len(self._cb)
+            self._cb.append(drain)
+            self._slot_seq.append(seq)
+        heapq.heappush(self._queue, (self._now, seq, slot))
+        self.events_scheduled += 1
 
     def defer(self, materialize: Callable[[], None]) -> None:
-        """Run ``materialize`` just before the clock next advances.
+        """Run ``materialize`` once, just before the clock next advances.
 
-        Contract identical to :meth:`Simulator.defer`: single slot, must
-        only push strictly-future events, flushed before any strictly
-        later event executes and before any heap inspection.
+        The hook fires when the executor is about to leave the current
+        timestamp — before executing any strictly-later event, before
+        concluding a drained or ``until``-capped run, and before any
+        :meth:`peek_time` heap inspection — so whatever events it pushes
+        land in the heap exactly when an eager caller's would become
+        *observable*.  Callers that re-derive one wakeup many times
+        within a single timestamp (the access link's refresh tick) use
+        it to collapse every same-timestamp schedule/cancel pair into at
+        most one real heap push.  Single-slot by contract: at most one
+        component per simulator defers (a second owner would overwrite
+        the first), which the access link — its only user — satisfies.
+        The hook must only push events at strictly future times;
+        same-time wakeups must be scheduled eagerly, or they would jump
+        the queue of already-pending same-time events.
         """
         self._deferred = materialize
 
@@ -665,7 +555,9 @@ class ArraySimulator:
 
         Semantics match :meth:`Simulator.run` exactly — cancelled-head
         skipping, the ``until`` push-back, past-event detection, per-event
-        audit hooks — only the storage the loop walks is array-backed.
+        audit hooks — only the storage the loop walks is array-backed,
+        and a pending :meth:`defer` hook is flushed before the clock
+        leaves the current timestamp.
         """
         if self._running:
             raise RuntimeError("simulator is not reentrant")
@@ -737,9 +629,12 @@ class ArraySimulator:
     def advance_inline(self, target: float) -> bool:
         """Move the clock to ``target`` from inside a running callback.
 
-        Identical contract to :meth:`Simulator.advance_inline`: the jump
-        must be strictly forward, strictly before the next pending event,
-        and within the active ``run(until=...)`` cap.
+        Returns True and advances only when the jump is *unobservable*:
+        strictly forward, strictly before the next pending event, and not
+        past the active ``run(until=...)`` cap.  Otherwise returns False
+        and leaves the clock untouched, so the caller falls back to
+        scheduling a regular heap event — which keeps the executed event
+        trace bit-identical to the reference engine's event per tick.
         """
         if target <= self._now:
             return False
@@ -757,8 +652,9 @@ class ArraySimulator:
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, if any.
 
-        Flushes a pending :meth:`defer` hook first, exactly as
-        :meth:`Simulator.peek_time` does.
+        Flushes a pending :meth:`defer` hook first: a deferred wakeup is
+        a scheduling decision already taken, so any heap inspection must
+        see the event it will push.
         """
         deferred = self._deferred
         if deferred is not None:

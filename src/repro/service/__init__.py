@@ -6,17 +6,19 @@ dependency hints out of a store (Sec 4.1.2).  Everything below
 ``repro.service`` models that loop *per page*; this package models
 *running it for a fleet of pages under traffic*:
 
-* :mod:`repro.service.store` — a sharded dependency store
-  (consistent-hash shards over page URL) holding per-(page,
-  device-class) hint entries with TTL, a per-shard memory budget and
-  deterministic LRU eviction.
+* :mod:`repro.service.store` — dependency-store shards holding
+  per-(page, device-class) hint entries with TTL, a per-shard memory
+  budget and deterministic LRU eviction.
+* :mod:`repro.service.placement` — the fleet store over those shards:
+  replicated consistent-hash placement by page URL, failover reads and
+  live resharding.
 * :mod:`repro.service.scheduler` — a batched offline-resolution job
   scheduler that prioritises by staleness × request popularity under a
   crawl budget (page loads per hour).
 * :mod:`repro.service.workload` — a seeded workload generator
   (Zipf page popularity × Poisson arrivals).
 * :mod:`repro.service.backend` — the :class:`HintService` simulation
-  tying the three together on the DES clock, with per-shard and
+  tying them together on the DES clock, with per-shard and
   per-tenant counters, latency percentiles and a cold-start story
   (miss ⇒ serve no hints ⇒ enqueue resolution — Vroom's graceful
   fallback to vanilla HTTP/2).
@@ -39,7 +41,7 @@ from repro.service.placement import (
     shard_outage_rule,
 )
 from repro.service.scheduler import BatchScheduler, ResolutionJob
-from repro.service.store import DependencyStore, LookupStatus, StoreEntry
+from repro.service.store import LookupStatus, StoreEntry
 from repro.service.workload import Workload, ZipfPopularity
 
 __all__ = [
@@ -50,7 +52,6 @@ __all__ = [
     "evaluate_samples",
     "BatchScheduler",
     "ResolutionJob",
-    "DependencyStore",
     "FleetLookup",
     "FleetStore",
     "FrontendCache",

@@ -1,8 +1,8 @@
 """Fleet placement: replicated consistent hashing with live resharding.
 
-PR 4's :class:`~repro.service.store.HashRing` is a *static* ring — fine
-for one box, useless for a fleet.  This module grows it into the
-production story of Sec 4.1.2:
+A static consistent-hash ring is fine for one box, useless for a
+fleet.  This module is the production story of Sec 4.1.2, built over
+the LRU shards of :mod:`repro.service.store`:
 
 * :class:`PlacementMap` — a **versioned** consistent-hash ring.  Every
   key owns a *preference list* of the first ``replication`` distinct
@@ -98,9 +98,10 @@ class PlacementMap:
     """Versioned consistent-hash placement with N-way replication.
 
     With every point active and ``replication=1`` the primary route is
-    bit-identical to :class:`~repro.service.store.HashRing` (same point
-    labels, same sha1, same tie-break), so swapping the fleet store in
-    does not move a single key.
+    the classic static ring's: point ``shard{i}#v{j}`` hashed with
+    :func:`~repro.service.store.stable_hash`, a key owned by the first
+    point clockwise of its own hash.  The shard table is pinned by a
+    golden in the tests, so no refactor can silently move a key.
     """
 
     def __init__(
@@ -168,7 +169,7 @@ class PlacementMap:
         return preference
 
     def shard_for(self, key: str) -> int:
-        """Primary shard (HashRing-compatible)."""
+        """Primary shard (the first entry of the preference list)."""
         return self.shards_for(key, 1)[0]
 
     # -- resharding -------------------------------------------------------
@@ -403,13 +404,7 @@ class FleetLookup:
 
 
 class FleetStore:
-    """Replicated, failover-capable, live-reshardable dependency store.
-
-    The drop-in fleet-scale successor of
-    :class:`~repro.service.store.DependencyStore`: with
-    ``replication=1``, no faults and no frontend cache it routes, counts
-    and serves identically.
-    """
+    """Replicated, failover-capable, live-reshardable dependency store."""
 
     def __init__(
         self,

@@ -1,13 +1,12 @@
-"""Sharded dependency store: the production half of Sec 4.1.2.
+"""Dependency-store shards: the storage half of Sec 4.1.2.
 
 A fleet-scale Vroom deployment cannot recompute stable sets per request;
-it serves them out of a store.  The store here is deliberately shaped
-like the real thing:
+it serves them out of a store.  This module holds the per-shard pieces,
+deliberately shaped like the real thing; placement, replication and
+resharding across shards live in :mod:`repro.service.placement`:
 
-* **Consistent-hash sharding** over the page URL (sha1-based ring with
-  virtual nodes), so adding shards moves only ``1/n`` of the keyspace
-  and every process routes identically regardless of
-  ``PYTHONHASHSEED``.
+* **Stable hashing** (:func:`stable_hash`, sha1-based), so every process
+  routes identically regardless of ``PYTHONHASHSEED``.
 * **Entries** keyed ``(page, device class)`` — the offline resolver's
   own granularity — carrying the serialised stable set, its
   computation time, and a byte-size estimate.
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -275,30 +273,6 @@ class Shard:
         return lost
 
 
-class HashRing:
-    """Consistent-hash ring over shard indices with virtual nodes."""
-
-    def __init__(self, shard_count: int, vnodes: int = 64):
-        if shard_count < 1:
-            raise ValueError("need at least one shard")
-        if vnodes < 1:
-            raise ValueError("need at least one virtual node per shard")
-        points: List[Tuple[int, int]] = []
-        for shard in range(shard_count):
-            for vnode in range(vnodes):
-                points.append((stable_hash(f"shard{shard}#v{vnode}"), shard))
-        points.sort()
-        self._hashes = [point for point, _ in points]
-        self._shards = [shard for _, shard in points]
-
-    def shard_for(self, key: str) -> int:
-        """First ring point clockwise of ``key``'s hash."""
-        position = bisect_right(self._hashes, stable_hash(key))
-        if position == len(self._hashes):
-            position = 0
-        return self._shards[position]
-
-
 @dataclass
 class StoreConfig:
     """Knobs of the sharded store (see docs/API.md for the table)."""
@@ -322,53 +296,6 @@ class StoreConfig:
     #: How long a frontend-cached entry may be served without re-reading
     #: its shard (bounds added staleness from the cache).
     frontend_cache_ttl_hours: float = 0.05
-
-
-class DependencyStore:
-    """The fleet-wide hint store: a hash ring over LRU shards."""
-
-    def __init__(self, config: Optional[StoreConfig] = None):
-        self.config = config or StoreConfig()
-        self.ring = HashRing(self.config.shard_count, self.config.vnodes)
-        self.shards = [
-            Shard(index, self.config.shard_memory_bytes)
-            for index in range(self.config.shard_count)
-        ]
-
-    def shard_for_page(self, page_url: str) -> Shard:
-        return self.shards[self.ring.shard_for(page_url)]
-
-    # repro: hotpath
-    def lookup(
-        self, page_url: str, page: str, device_class: str, now_hours: float
-    ) -> Tuple[Optional[StoreEntry], LookupStatus, Shard]:
-        shard = self.shard_for_page(page_url)
-        entry, status = shard.lookup(
-            (page, device_class),
-            now_hours,
-            ttl_hours=self.config.ttl_hours,
-            freshness_hours=self.config.freshness_hours,
-        )
-        return entry, status, shard
-
-    def insert(self, page_url: str, entry: StoreEntry) -> bool:
-        return self.shard_for_page(page_url).insert(entry)
-
-    def totals(self) -> dict:
-        """Counters summed across shards."""
-        out = ShardCounters()
-        for shard in self.shards:
-            counters = shard.counters
-            out.lookups += counters.lookups
-            out.hits += counters.hits
-            out.stale_hits += counters.stale_hits
-            out.misses += counters.misses
-            out.expired += counters.expired
-            out.inserts += counters.inserts
-            out.evictions += counters.evictions
-            out.rejected += counters.rejected
-            out.resident_bytes += counters.resident_bytes
-        return out.as_dict()
 
 
 def payload_size_bytes(payload: dict) -> int:

@@ -10,6 +10,10 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             run_config("warp-drive", page, snapshot, store)
 
+    def test_unknown_engine_rejected(self, page, snapshot, store):
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_config("http2", page, snapshot, store, engine="warp")
+
     def test_all_names_runnable(self, page, snapshot, store):
         for name in CONFIG_NAMES:
             metrics = run_config(name, page, snapshot, store)

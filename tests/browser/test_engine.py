@@ -358,10 +358,11 @@ class TestFailureModes:
 
 
 class TestScannerDrivers:
-    """The preload-scanner drivers: reference poll vs demand-driven."""
+    """The preload-scanner drivers: the reference engine's poll vs the
+    production engine's demand-driven wakeups."""
 
     @staticmethod
-    def _run_counting_documents(event_driven):
+    def _run_counting_documents(engine):
         from repro.net.http import NetworkConfig
 
         # The iframe's fetch starts only once the root parse reaches it,
@@ -386,7 +387,7 @@ class TestScannerDrivers:
         engine = PageLoadEngine(
             snapshot,
             build_servers(store),
-            NetworkConfig(event_driven_browser=event_driven),
+            NetworkConfig(engine=engine),
             BrowserConfig(when_hours=STAMP.when_hours),
         )
         metrics = engine.run()
@@ -399,12 +400,12 @@ class TestScannerDrivers:
     def test_poll_loop_builds_document_list_once(self):
         """Regression: the reference 5 ms poll must hoist the document
         list — one resource-tree walk per load, not one per tick."""
-        calls, metrics = self._run_counting_documents(event_driven=False)
+        calls, metrics = self._run_counting_documents("reference")
         assert calls == 2
         # Sanity: the poll actually ran (many grid ticks on this page).
         assert metrics.engine_counters["browser_wakeups"] > 1
 
     def test_event_driven_builds_document_list_once(self):
-        calls, metrics = self._run_counting_documents(event_driven=True)
+        calls, metrics = self._run_counting_documents("production")
         assert calls == 2
         assert metrics.engine_counters["scanner_polls_elided"] > 0

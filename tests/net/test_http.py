@@ -47,6 +47,10 @@ def make_client(
 
 
 class TestBasics:
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            NetworkConfig(engine="turbo")
+
     def test_fetch_completes(self):
         sim, client, _ = make_client()
         done = []

@@ -10,14 +10,27 @@ from repro.net.link import (
 from repro.net.simulator import ArraySimulator, Simulator
 
 
-def make_link(bandwidth_bps=8.0e6):
-    sim = Simulator()
-    return sim, AccessLink(sim, bandwidth_bps)
+class OnEngine:
+    """Base for link tests that must hold on both engines.
+
+    The link takes its mode from the simulator it runs on: a
+    :class:`Simulator` gives the reference link, an
+    :class:`ArraySimulator` the production one.  Tests build links
+    through :meth:`make_link`; each class runs on the reference engine,
+    and its ``...Production`` subclass at the end of the module reruns
+    every test on the production engine.
+    """
+
+    SIM = Simulator
+
+    def make_link(self, bandwidth_bps=8.0e6, **kwargs):
+        sim = self.SIM()
+        return sim, AccessLink(sim, bandwidth_bps, **kwargs)
 
 
-class TestSingleStream:
+class TestSingleStream(OnEngine):
     def test_transfer_time_matches_bandwidth(self):
-        sim, link = make_link(8.0e6)  # 1 MB/s
+        sim, link = self.make_link(8.0e6)  # 1 MB/s
         channel = link.open_channel()
         done = []
         channel.start_stream(1_000_000, lambda: done.append(sim.now))
@@ -25,7 +38,7 @@ class TestSingleStream:
         assert done == [pytest.approx(1.0, rel=1e-6)]
 
     def test_zero_byte_stream_completes_immediately(self):
-        sim, link = make_link()
+        sim, link = self.make_link()
         channel = link.open_channel()
         done = []
         channel.start_stream(0, lambda: done.append(sim.now))
@@ -33,22 +46,22 @@ class TestSingleStream:
         assert done == [0.0]
 
     def test_negative_size_rejected(self):
-        _, link = make_link()
+        _, link = self.make_link()
         channel = link.open_channel()
         with pytest.raises(ValueError):
             channel.start_stream(-1, lambda: None)
 
     def test_bytes_delivered_accounting(self):
-        sim, link = make_link()
+        sim, link = self.make_link()
         channel = link.open_channel()
         channel.start_stream(500_000, lambda: None)
         sim.run()
         assert link.bytes_delivered == pytest.approx(500_000, rel=1e-6)
 
 
-class TestSharing:
+class TestSharing(OnEngine):
     def test_two_connections_split_bandwidth(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         done = []
         for _ in range(2):
             channel = link.open_channel()
@@ -58,7 +71,7 @@ class TestSharing:
         assert done == [pytest.approx(1.0, rel=1e-6)] * 2
 
     def test_completion_frees_bandwidth(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         done = {}
         small_channel = link.open_channel()
         big_channel = link.open_channel()
@@ -75,7 +88,7 @@ class TestSharing:
         assert done["big"] == pytest.approx(1.0, rel=1e-6)
 
     def test_fair_within_connection(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         channel = link.open_channel(StreamScheduling.FAIR)
         done = []
         channel.start_stream(500_000, lambda: done.append(("a", sim.now)))
@@ -84,7 +97,7 @@ class TestSharing:
         assert [t for _, t in done] == [pytest.approx(1.0, rel=1e-6)] * 2
 
     def test_fifo_serializes_within_connection(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         channel = link.open_channel(StreamScheduling.FIFO)
         done = []
         channel.start_stream(500_000, lambda: done.append(("a", sim.now)))
@@ -96,7 +109,7 @@ class TestSharing:
 
     def test_fifo_priority_jump(self):
         """A heavier-weight stream preempts the FIFO head."""
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         channel = link.open_channel(StreamScheduling.FIFO)
         done = []
         channel.start_stream(
@@ -113,7 +126,7 @@ class TestSharing:
         assert done[0][0] == "urgent"
 
     def test_weighted_proportional_shares(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         channel = link.open_channel(StreamScheduling.WEIGHTED)
         done = {}
         channel.start_stream(
@@ -128,9 +141,9 @@ class TestSharing:
         assert done["light"] == pytest.approx(0.4, rel=1e-4)
 
 
-class TestOffsetWatches:
+class TestOffsetWatches(OnEngine):
     def test_watch_fires_at_offset(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         channel = link.open_channel()
         hits = []
         stream = channel.start_stream(1_000_000, lambda: None)
@@ -139,7 +152,7 @@ class TestOffsetWatches:
         assert hits == [pytest.approx(0.25, rel=1e-6)]
 
     def test_watch_past_offset_fires_immediately(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         channel = link.open_channel()
         hits = []
         stream = channel.start_stream(1_000_000, lambda: None)
@@ -152,7 +165,7 @@ class TestOffsetWatches:
         assert hits == [pytest.approx(0.5, rel=1e-6)]
 
     def test_multiple_watches_ordered(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         channel = link.open_channel()
         hits = []
         stream = channel.start_stream(1_000_000, lambda: None)
@@ -162,11 +175,11 @@ class TestOffsetWatches:
         assert hits == ["early", "late"]
 
 
-class TestCongestionWindow:
+class TestCongestionWindow(OnEngine):
     def test_cold_connection_slower_than_warm(self):
         """Slow start: the same bytes take longer on a fresh window."""
         def timed_transfer(prewarm):
-            sim, link = make_link(80.0e6)  # fat link: cwnd is the cap
+            sim, link = self.make_link(80.0e6)  # fat link: cwnd is the cap
             channel = link.open_channel(rtt=0.1)
             done = []
             if prewarm:
@@ -178,14 +191,14 @@ class TestCongestionWindow:
         assert timed_transfer(prewarm=False) > timed_transfer(prewarm=True)
 
     def test_window_grows_with_delivery(self):
-        sim, link = make_link(80.0e6)
+        sim, link = self.make_link(80.0e6)
         channel = link.open_channel(rtt=0.1)
         channel.start_stream(500_000, lambda: None)
         sim.run()
         assert channel.cwnd > INITIAL_CWND_BYTES
 
     def test_idle_reset(self):
-        sim, link = make_link(80.0e6)
+        sim, link = self.make_link(80.0e6)
         channel = link.open_channel(rtt=0.1)
         channel.start_stream(500_000, lambda: None)
         sim.run()
@@ -200,13 +213,12 @@ class TestCongestionWindow:
         assert channel.cwnd < grown
 
     def test_zero_rtt_uncapped(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         channel = link.open_channel(rtt=0.0)
         assert channel.rate_cap() == float("inf")
 
     def test_loss_halves_window(self):
-        sim = Simulator()
-        link = AccessLink(sim, 80.0e6, loss_rate=0.05)
+        sim, link = self.make_link(80.0e6, loss_rate=0.05)
         channel = link.open_channel(rtt=0.1)
         channel.start_stream(2_000_000, lambda: None)
         sim.run()
@@ -214,8 +226,7 @@ class TestCongestionWindow:
 
     def test_loss_slows_transfers(self):
         def finish_time(loss_rate):
-            sim = Simulator()
-            link = AccessLink(sim, 80.0e6, loss_rate=loss_rate)
+            sim, link = self.make_link(80.0e6, loss_rate=loss_rate)
             channel = link.open_channel(rtt=0.1)
             channel.start_stream(2_000_000, lambda: None)
             return sim.run()
@@ -224,8 +235,7 @@ class TestCongestionWindow:
 
     def test_loss_is_deterministic(self):
         def run_once():
-            sim = Simulator()
-            link = AccessLink(sim, 80.0e6, loss_rate=0.05)
+            sim, link = self.make_link(80.0e6, loss_rate=0.05)
             channel = link.open_channel(rtt=0.1)
             channel.start_stream(1_000_000, lambda: None)
             sim.run()
@@ -234,30 +244,28 @@ class TestCongestionWindow:
         assert run_once() == run_once()
 
     def test_invalid_loss_rate_rejected(self):
-        sim = Simulator()
         with pytest.raises(ValueError):
-            AccessLink(sim, 8.0e6, loss_rate=1.5)
+            self.make_link(8.0e6, loss_rate=1.5)
 
     def test_zero_loss_never_loses(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         channel = link.open_channel(rtt=0.05)
         channel.start_stream(3_000_000, lambda: None)
         sim.run()
         assert channel._loss_count == 0
 
     def test_bandwidth_must_be_positive(self):
-        sim = Simulator()
         with pytest.raises(ValueError):
-            AccessLink(sim, 0.0)
+            self.make_link(0.0)
 
 
-class TestWatchCursor:
+class TestWatchCursor(OnEngine):
     """Sorted-insert + cursor bookkeeping behind the watch list."""
 
     def test_interleaved_out_of_order_registrations(self):
         """Watches registered out of order, some mid-transfer after
         earlier ones fired, still fire in offset order at exact times."""
-        sim, link = make_link(8.0e6)  # 1 MB/s
+        sim, link = self.make_link(8.0e6)  # 1 MB/s
         channel = link.open_channel()
         hits = []
         stream = channel.start_stream(1_000_000, lambda: hits.append("done"))
@@ -275,7 +283,7 @@ class TestWatchCursor:
         assert hits == ["a", "a2", "b", "b2", "c", "done"]
 
     def test_equal_offsets_fire_in_registration_order(self):
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         channel = link.open_channel()
         hits = []
         stream = channel.start_stream(1_000_000, lambda: None)
@@ -287,7 +295,7 @@ class TestWatchCursor:
     def test_cursor_resets_after_drain(self):
         """Once every watch fired, a fresh registration starts a new
         list rather than appending after a stale cursor."""
-        sim, link = make_link(8.0e6)
+        sim, link = self.make_link(8.0e6)
         channel = link.open_channel()
         hits = []
         stream = channel.start_stream(1_000_000, lambda: None)
@@ -304,13 +312,12 @@ class TestWatchCursor:
 
 
 class TestFastForwardMode:
-    """The coalesced hot path must match event-per-tick bit for bit."""
+    """The production link's inline hot path must match the reference
+    link's event-per-tick trace bit for bit."""
 
-    def _drain(self, fast_forward, loss_rate=0.0):
-        sim = Simulator()
-        link = AccessLink(
-            sim, 8.0e6, loss_rate=loss_rate, fast_forward=fast_forward
-        )
+    def _drain(self, sim_cls, loss_rate=0.0):
+        sim = sim_cls()
+        link = AccessLink(sim, 8.0e6, loss_rate=loss_rate)
         channel = link.open_channel(rtt=0.2)
         done = []
         hits = []
@@ -320,33 +327,34 @@ class TestFastForwardMode:
         return done, hits, link.bytes_delivered, channel._loss_count
 
     def test_drain_identical_with_and_without(self):
-        assert self._drain(False) == self._drain(True)
+        assert self._drain(Simulator) == self._drain(ArraySimulator)
 
     def test_lossy_drain_identical_with_and_without(self):
-        off = self._drain(False, loss_rate=0.02)
-        on = self._drain(True, loss_rate=0.02)
-        assert off == on
-        assert off[3] > 0, "loss must actually occur for this to test RNG"
+        reference = self._drain(Simulator, loss_rate=0.02)
+        production = self._drain(ArraySimulator, loss_rate=0.02)
+        assert reference == production
+        assert reference[3] > 0, (
+            "loss must actually occur for this to test RNG"
+        )
 
     def test_fast_forward_coalesces_heap_events(self):
-        def events_scheduled(fast_forward):
-            sim = Simulator()
-            link = AccessLink(
-                sim, 8.0e6, loss_rate=0.02, fast_forward=fast_forward
-            )
+        def events_scheduled(sim_cls):
+            sim = sim_cls()
+            link = AccessLink(sim, 8.0e6, loss_rate=0.02)
             channel = link.open_channel(rtt=0.2)
             channel.start_stream(8_000_000, lambda: None)
             sim.run()
-            return sim.events_scheduled, link.pokes
+            return sim.events_scheduled, link.pokes, link.ff_steps
 
-        off_events, off_pokes = events_scheduled(False)
-        on_events, on_pokes = events_scheduled(True)
-        assert on_events < off_events / 2
-        assert on_pokes == off_pokes, "inline steps must mirror heap ticks"
+        ref_events, ref_pokes, ref_steps = events_scheduled(Simulator)
+        events, pokes, steps = events_scheduled(ArraySimulator)
+        assert events < ref_events / 2
+        assert ref_steps == 0 < steps
+        assert pokes == ref_pokes, "inline steps must mirror heap ticks"
 
 
 class TestBatchedRunDetection:
-    """Boundary behaviour of the batched executor's run detection.
+    """Boundary behaviour of the production link's run detection.
 
     A *run* is a maximal stretch of silent refresh steps that
     ``_run_batch`` absorbs in one call.  These tests pin where runs must
@@ -356,13 +364,12 @@ class TestBatchedRunDetection:
     """
 
     def _build(self, batched, channels=2, size=2_000_000, rtt=0.2):
+        """``batched`` selects the production engine, else the reference."""
         # 100 MB/s link: far above the 4 MB/0.2 s window cap, so the
         # whole drain stays cwnd-limited and every silent stretch is a
         # sequence of rtt/2 = 0.1 s refresh steps the batch loop can eat.
         sim = ArraySimulator() if batched else Simulator()
-        link = AccessLink(
-            sim, 8.0e8, fast_forward=batched, batched=batched
-        )
+        link = AccessLink(sim, 8.0e8)
         done = []
         for index in range(channels):
             channel = link.open_channel(rtt=rtt)
@@ -462,3 +469,26 @@ class TestBatchedRunDetection:
         assert done == ref_done
         assert link.batch_steps > 0
         assert link.pokes == ref_link.pokes
+
+
+# The plain link classes rerun on the production engine.
+
+
+class TestSingleStreamProduction(TestSingleStream):
+    SIM = ArraySimulator
+
+
+class TestSharingProduction(TestSharing):
+    SIM = ArraySimulator
+
+
+class TestOffsetWatchesProduction(TestOffsetWatches):
+    SIM = ArraySimulator
+
+
+class TestCongestionWindowProduction(TestCongestionWindow):
+    SIM = ArraySimulator
+
+
+class TestWatchCursorProduction(TestWatchCursor):
+    SIM = ArraySimulator

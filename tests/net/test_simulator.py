@@ -181,16 +181,20 @@ class TestRunControls:
 
 
 class TestInlineAdvance:
-    """Fast-forward contract: only silent, strictly-forward windows."""
+    """Fast-forward contract: only silent, strictly-forward windows.
+
+    Inline advances are the production executor's; the counter tests at
+    the end pin the reference engine's bookkeeping.
+    """
 
     def test_advance_moves_clock_and_counts(self):
-        sim = Simulator()
+        sim = ArraySimulator()
         assert sim.advance_inline(1.5) is True
         assert sim.now == 1.5
         assert sim.inline_advances == 1
 
     def test_declines_backward_and_same_time(self):
-        sim = Simulator()
+        sim = ArraySimulator()
         sim.advance_inline(1.0)
         assert sim.advance_inline(1.0) is False
         assert sim.advance_inline(0.5) is False
@@ -198,7 +202,7 @@ class TestInlineAdvance:
         assert sim.inline_advances == 1
 
     def test_declines_when_event_pending_at_or_before_target(self):
-        sim = Simulator()
+        sim = ArraySimulator()
         sim.schedule(2.0, lambda: None)
         assert sim.advance_inline(2.0) is False
         assert sim.advance_inline(2.5) is False
@@ -208,7 +212,7 @@ class TestInlineAdvance:
     def test_cancelled_head_does_not_block(self):
         """Only *live* events bound the jump; lazily-cancelled heap
         heads are drained by peek_time rather than declining forever."""
-        sim = Simulator()
+        sim = ArraySimulator()
         event = sim.schedule(2.0, lambda: None)
         sim.schedule(5.0, lambda: None)
         event.cancel()
@@ -217,7 +221,7 @@ class TestInlineAdvance:
         assert sim.advance_inline(6.0) is False
 
     def test_declines_past_run_until(self):
-        sim = Simulator()
+        sim = ArraySimulator()
         outcomes = []
 
         def probe():
@@ -385,3 +389,110 @@ class TestArraySimulator:
         assert sim.pending() == 10
         sim.run()
         assert len(keep) == 10
+
+    def test_call_soon_coalesces_consecutive_deferrals(self):
+        """Back-to-back deferrals share one heap event, yet run in the
+        exact order one event per deferral would give."""
+        sim = ArraySimulator()
+        order = []
+
+        def first():
+            sim.call_soon(lambda: order.append("a"))
+            sim.call_soon(lambda: order.append("b"))
+            sim.call_soon(lambda: order.append("c"))
+
+        sim.schedule(1.0, first)
+        sim.run()
+        assert order == ["a", "b", "c"]
+        assert sim.soon_coalesced == 2
+        assert sim.events_scheduled == 2
+
+    def test_call_soon_batch_seals_on_interleaved_schedule(self):
+        """A deferral after any other scheduling decision starts a new
+        batch: the event in between must keep its place in seq order."""
+        sim = ArraySimulator()
+        order = []
+
+        def first():
+            sim.call_soon(lambda: order.append("soon1"))
+            sim.schedule(0.0, lambda: order.append("timer"))
+            sim.call_soon(lambda: order.append("soon2"))
+
+        sim.schedule(1.0, first)
+        sim.run()
+        assert order == ["soon1", "timer", "soon2"]
+        assert sim.soon_coalesced == 0
+
+    def test_call_soon_deferral_during_drain_joins_batch(self):
+        """A drained callback's own first deferral lands exactly where
+        a fresh heap event would run it: next, at the same time."""
+        sim = ArraySimulator()
+        order = []
+
+        def outer():
+            order.append("outer")
+            sim.call_soon(lambda: order.append("inner"))
+
+        sim.schedule(1.0, lambda: sim.call_soon(outer))
+        sim.run()
+        assert order == ["outer", "inner"]
+        assert sim.soon_coalesced == 1
+
+    def test_call_soon_batching_stands_down_under_audit(self):
+        from repro import audit
+
+        was = audit.ENABLED
+        audit.enable()
+        try:
+            sim = ArraySimulator()
+            sim.call_soon(lambda: None)
+            sim.call_soon(lambda: None)
+            sim.run()
+        finally:
+            if not was:
+                audit.disable()
+        assert sim.soon_coalesced == 0
+        assert sim.events_scheduled == 2
+
+    def test_defer_flushes_before_the_clock_advances(self):
+        """The hook runs once, after every same-time event and before
+        any later one, so the event it pushes is ordered as if it had
+        been scheduled eagerly."""
+        sim = ArraySimulator()
+        order = []
+
+        def materialize():
+            order.append(("flush", sim.now))
+            sim.schedule_at(1.5, lambda: order.append(("tick", sim.now)))
+
+        def first():
+            sim.defer(materialize)
+            sim.schedule(0.0, lambda: order.append(("same", sim.now)))
+
+        sim.schedule(1.0, first)
+        sim.schedule(2.0, lambda: order.append(("later", sim.now)))
+        sim.run()
+        assert order == [
+            ("same", 1.0),
+            ("flush", 1.0),
+            ("tick", 1.5),
+            ("later", 2.0),
+        ]
+
+    def test_defer_flushes_on_peek_and_at_drain(self):
+        sim = ArraySimulator()
+        flushed = []
+        sim.defer(lambda: flushed.append("peek"))
+        assert sim.peek_time() is None
+        sim.defer(lambda: flushed.append("drain"))
+        sim.run()
+        assert flushed == ["peek", "drain"]
+
+    def test_cancel_deferred_drops_the_hook(self):
+        sim = ArraySimulator()
+        flushed = []
+        sim.defer(lambda: flushed.append("never"))
+        sim.cancel_deferred()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert flushed == []

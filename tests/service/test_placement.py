@@ -13,13 +13,26 @@ from repro.service.placement import (
     shard_url,
 )
 from repro.service.store import (
-    HashRing,
     LookupStatus,
     StoreConfig,
     StoreEntry,
 )
 
 KEYS = [f"page{i}.com/" for i in range(400)]
+
+#: ``PlacementMap(8).shard_for(KEYS[i])`` as digit ``i``: the shard table
+#: of the classic static ring (``shard{i}#v{j}`` points, sha1, first point
+#: clockwise), frozen when that ring was retired for the fleet map.
+GOLDEN_SHARDS = (
+    "41602237742270576641331270001650546462454417666127"
+    "45450726653501317364242105252507505624135741713771"
+    "26250235751753467551660010011102731026541136144302"
+    "40670372634040652560257426612602071361212662151461"
+    "62656022425131211352131174256260273041320642675513"
+    "21126337542067074745365722122664067073774266315562"
+    "76124041767632032117611507561262573025203574103615"
+    "54201721365616603645012100622377235677001030432410"
+)
 
 
 def entry(page="news0", device="phone", at=0.0, size=100):
@@ -44,12 +57,31 @@ def audited():
 
 class TestPlacementMap:
     def test_matches_hashring_at_replication_one(self):
-        # The fleet map must be a drop-in for the static ring: same
+        # The fleet map is the static ring at replication 1: same
         # labels, same sha1, same tie-break — not one key moves.
-        ring = HashRing(8)
         placement = PlacementMap(8)
-        for key in KEYS:
-            assert placement.shard_for(key) == ring.shard_for(key)
+        routed = "".join(str(placement.shard_for(key)) for key in KEYS)
+        assert routed == GOLDEN_SHARDS
+
+    def test_routing_is_stable(self):
+        first = PlacementMap(4, replication=2)
+        second = PlacementMap(4, replication=2)
+        for key in KEYS[:100]:
+            assert first.shards_for(key) == second.shards_for(key)
+
+    def test_routes_all_shards(self):
+        placement = PlacementMap(8, vnodes=64)
+        assert {placement.shard_for(key) for key in KEYS} == set(range(8))
+
+    def test_growth_moves_a_minority_of_keys(self):
+        small = PlacementMap(8)
+        grown = PlacementMap(9)
+        keys = [f"page{i}.com/" for i in range(1000)]
+        moved = sum(
+            1 for key in keys if small.shard_for(key) != grown.shard_for(key)
+        )
+        # Consistent hashing: ~1/9 of the keyspace moves, not most of it.
+        assert moved < 350
 
     def test_preference_list_is_distinct_and_prefix_stable(self):
         placement = PlacementMap(8, replication=3)

@@ -1,14 +1,11 @@
-"""Sharded dependency store: ring, shards, LRU, TTL, histograms."""
+"""Dependency-store shards: hashing, LRU, TTL, histograms."""
 
 import pytest
 
 from repro.service.store import (
-    DependencyStore,
-    HashRing,
     LatencyHistogram,
     LookupStatus,
     Shard,
-    StoreConfig,
     StoreEntry,
     payload_size_bytes,
     stable_hash,
@@ -32,36 +29,6 @@ class TestStableHash:
         assert stable_hash("news0.com/") == stable_hash("news0.com/")
         assert stable_hash("a") != stable_hash("b")
         assert 0 <= stable_hash("x") < 2 ** 64
-
-
-class TestHashRing:
-    def test_routes_all_shards(self):
-        ring = HashRing(shard_count=8, vnodes=64)
-        hit = {ring.shard_for(f"page{i}.com/") for i in range(400)}
-        assert hit == set(range(8))
-
-    def test_routing_is_stable(self):
-        first = HashRing(4)
-        second = HashRing(4)
-        for i in range(100):
-            key = f"k{i}"
-            assert first.shard_for(key) == second.shard_for(key)
-
-    def test_adding_shards_moves_a_minority_of_keys(self):
-        small = HashRing(8)
-        grown = HashRing(9)
-        keys = [f"page{i}.com/" for i in range(1000)]
-        moved = sum(
-            1 for key in keys if small.shard_for(key) != grown.shard_for(key)
-        )
-        # Consistent hashing: ~1/9 of the keyspace moves, not most of it.
-        assert moved < 350
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HashRing(0)
-        with pytest.raises(ValueError):
-            HashRing(2, vnodes=0)
 
 
 class TestShardLookup:
@@ -193,28 +160,6 @@ class TestLatencyHistogram:
         assert histogram.percentile(0.99) == 0.0
         assert histogram.mean == 0.0
         assert LatencyHistogram.merged([]).samples == 0
-
-
-class TestDependencyStore:
-    def test_routing_is_consistent_with_the_ring(self):
-        store = DependencyStore(StoreConfig(shard_count=4))
-        for i in range(50):
-            url = f"page{i}.com/"
-            assert store.shard_for_page(url).index == store.ring.shard_for(
-                url
-            )
-
-    def test_lookup_insert_totals(self):
-        store = DependencyStore(StoreConfig(shard_count=4))
-        assert store.insert("news0.com/", entry(at=1.0))
-        got, status, shard = store.lookup("news0.com/", "news0", "phone", 1.5)
-        assert status is LookupStatus.HIT
-        assert got.page == "news0"
-        totals = store.totals()
-        assert totals["lookups"] == 1
-        assert totals["hits"] == 1
-        assert totals["inserts"] == 1
-        assert totals["resident_bytes"] == 100
 
 
 class TestPayloadSize:
