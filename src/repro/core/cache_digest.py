@@ -16,9 +16,21 @@ same failure mode as the real mechanism.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from typing import Iterable, List, Set
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _url_prefix(url: str) -> int:
+    """The big-endian 64-bit sha256 prefix of ``url``.
+
+    Independent of any digest's hash space, so one memoised value serves
+    every digest; each digest reduces it ``% space`` itself.  The bound
+    keeps memory flat however many distinct URLs a run streams through.
+    """
+    return int.from_bytes(hashlib.sha256(url.encode()).digest()[:8], "big")
 
 
 class CacheDigest:
@@ -30,21 +42,27 @@ class CacheDigest:
         ``bits_per_entry`` trades size for false-positive rate: the FP
         probability is ~2**-bits_per_entry (the draft's P parameter).
         """
-        if bits_per_entry < 1 or bits_per_entry > 32:
-            raise ValueError("bits_per_entry must be in [1, 32]")
+        if (
+            not isinstance(bits_per_entry, int)
+            or isinstance(bits_per_entry, bool)
+            or not 1 <= bits_per_entry <= 32
+        ):
+            raise ValueError(
+                "bits_per_entry must be an int in [1, 32] "
+                f"(got {bits_per_entry!r})"
+            )
         self.bits_per_entry = bits_per_entry
         url_list = list(urls)
         self.entry_count = len(url_list)
         # Hash space scales with N * 2^P, as in the draft.
-        self._space = max(1, self.entry_count) * (2 ** bits_per_entry)
-        self._hashes: Set[int] = {self._hash(url) for url in url_list}
-
-    def _hash(self, url: str) -> int:
-        digest = hashlib.sha256(url.encode()).digest()
-        return int.from_bytes(digest[:8], "big") % self._space
+        space = max(1, self.entry_count) * (2 ** bits_per_entry)
+        self._space = space
+        self._hashes: Set[int] = {
+            _url_prefix(url) % space for url in url_list
+        }
 
     def __contains__(self, url: str) -> bool:
-        return self._hash(url) in self._hashes
+        return _url_prefix(url) % self._space in self._hashes
 
     def __len__(self) -> int:
         return len(self._hashes)
@@ -71,4 +89,5 @@ def filter_pushes(
     pushes: List[str], digest: CacheDigest
 ) -> List[str]:
     """Drop pushes the digest claims the client already holds."""
-    return [url for url in pushes if url not in digest]
+    space, held = digest._space, digest._hashes
+    return [url for url in pushes if _url_prefix(url) % space not in held]

@@ -168,10 +168,16 @@ class ScenarioSpec:
             raise ValueError("batch period must be positive")
         if self.crawl_budget_per_hour <= 0:
             raise ValueError("crawl budget must be positive")
-        if self.digest_filter_bits and not (
-            1 <= self.digest_filter_bits <= 32
+        bits = self.digest_filter_bits
+        if (
+            not isinstance(bits, int)
+            or isinstance(bits, bool)
+            or (bits and not 1 <= bits <= 32)
         ):
-            raise ValueError("digest_filter_bits must be 0 or in [1, 32]")
+            raise ValueError(
+                "digest_filter_bits must be 0 or an int in [1, 32] "
+                f"(got {bits!r})"
+            )
         if self.shard_cycle_every_hours < 0:
             raise ValueError("shard cycle period must be non-negative")
         if self.shard_cycle_every_hours > 0:

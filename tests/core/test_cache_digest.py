@@ -5,6 +5,7 @@ import pytest
 from repro.browser.cache import BrowserCache
 from repro.core.cache_digest import (
     CacheDigest,
+    _url_prefix,
     digest_from_cache,
     filter_pushes,
 )
@@ -31,6 +32,14 @@ class TestCacheDigest:
             CacheDigest([], bits_per_entry=0)
         with pytest.raises(ValueError):
             CacheDigest([], bits_per_entry=40)
+
+    @pytest.mark.parametrize("bits", [8.5, 8.0, True, "8"])
+    def test_non_int_bits_per_entry_rejected(self, bits):
+        with pytest.raises(ValueError, match="bits_per_entry"):
+            CacheDigest(["a.com/x.js"], bits_per_entry=bits)
+
+    def test_prefix_memo_is_bounded(self):
+        assert _url_prefix.cache_info().maxsize is not None
 
     def test_size_scales_with_entries(self):
         small = CacheDigest([f"u{i}" for i in range(10)])

@@ -1,5 +1,8 @@
 """Property-based tests for the extension components."""
 
+import hashlib
+import pickle
+
 from hypothesis import given, settings, strategies as st
 
 from repro.browser.cpu import BAND_DEFER, BAND_EXEC, BAND_PARSER, CpuQueue
@@ -38,6 +41,34 @@ def test_filter_pushes_is_subset_preserving_order(urls):
     # Everything filtered out was claimed cached.
     for url in set(urls) - set(filtered):
         assert url in digest
+
+
+def _draft_hash(url: str, space: int) -> int:
+    """The cache-digest hash computed from scratch, without the memo."""
+    digest = hashlib.sha256(url.encode()).digest()
+    return int.from_bytes(digest[:8], "big") % space
+
+
+@given(_urls, _urls, st.integers(min_value=1, max_value=32))
+def test_memoised_digest_matches_draft_definition(held, pushes, bits):
+    digest = CacheDigest(held, bits_per_entry=bits)
+    space = max(1, len(held)) * 2**bits
+    assert digest._hashes == {_draft_hash(url, space) for url in held}
+    kept = filter_pushes(pushes, digest)
+    assert kept == [url for url in pushes if url not in digest]
+    assert kept == [
+        url for url in pushes if _draft_hash(url, space) not in digest._hashes
+    ]
+    # The pickled state is the instance's own fields, nothing of the memo.
+    assert set(vars(digest)) == {
+        "bits_per_entry",
+        "entry_count",
+        "_space",
+        "_hashes",
+    }
+    wire = pickle.dumps(digest)
+    assert b"_url_prefix" not in wire
+    assert vars(pickle.loads(wire)) == vars(digest)
 
 
 # ---------------------------------------------------------------------------

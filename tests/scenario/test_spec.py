@@ -63,11 +63,22 @@ class TestValidation:
                 "predate the run",
             ),
             ({"rollup_hours": 0.0}, "rollup window"),
+            ({"digest_filter_bits": 8.5}, "digest_filter_bits"),
+            ({"digest_filter_bits": 8.0}, "digest_filter_bits"),
+            ({"digest_filter_bits": True}, "digest_filter_bits"),
+            ({"digest_filter_bits": "8"}, "digest_filter_bits"),
         ],
     )
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             ScenarioSpec(**kwargs)
+
+    @pytest.mark.parametrize("bits", [8.5, 8.0, True])
+    def test_non_int_digest_bits_rejected_from_dict(self, bits):
+        wire = json.loads(json.dumps(ScenarioSpec().as_dict()))
+        wire["digest_filter_bits"] = bits
+        with pytest.raises(ValueError, match="digest_filter_bits"):
+            ScenarioSpec.from_dict(wire)
 
     def test_defaults_valid(self):
         spec = ScenarioSpec()
