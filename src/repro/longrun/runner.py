@@ -4,14 +4,12 @@
 through the workload a :class:`~repro.scenario.spec.ScenarioSpec`
 describes — Zipf×Poisson lookups, periodic offline-resolution ticks,
 shards failing and healing on the spec's cycle, content rotating under
-the store per the corpus churn model — without the fixed-size event
-list the DES-based :meth:`HintService.run` builds.  Three disciplines
-make horizons of simulated days (millions of lookups) tractable:
-
-**Streaming generation.**  Arrivals are drawn one at a time with the
-exact draw order of :class:`repro.service.workload.Workload` (gap, page,
-device, user), so the stream is a pure function of the workload seed;
-at most one generated-but-unprocessed lookup exists at any moment.
+the store per the corpus churn model.  Arrivals come one at a time from
+the service's own :class:`~repro.service.workload.ArrivalStream`, so
+the stream is the one :class:`~repro.service.workload.Workload` yields
+and at most one drawn-but-unprocessed lookup exists at any moment.
+Two disciplines make horizons of simulated days (millions of lookups)
+tractable:
 
 **Constant-memory aggregation.**  Per-lookup records are never kept.
 A :class:`RollupAggregator` folds each lookup into the current rollup
@@ -21,12 +19,12 @@ Per-page resolver memo tables are trimmed after every tick — they are
 keyed by resolution hour and would otherwise grow forever for zero
 hit-rate benefit.
 
-**Checkpoint/resume.**  The runner's whole state (service, RNG, clock,
-pending lookahead, aggregator, digests, fingerprint chain) pickles into
-a self-verifying checkpoint.  Resuming and running to the horizon is
-bit-identical to the uninterrupted run: the final report fingerprint
-matches exactly, and :func:`checkpoint_roundtrip` asserts it under
-``REPRO_AUDIT=1``.
+**Checkpoint/resume.**  The runner's whole state (service, arrival
+cursor, clock, pending lookahead, aggregator, digests, fingerprint
+chain) pickles into a self-verifying checkpoint.  Resuming and running
+to the horizon is bit-identical to the uninterrupted run: the final
+report fingerprint matches exactly, and :func:`checkpoint_roundtrip`
+asserts it under ``REPRO_AUDIT=1``.
 
 The served-hint stream is fingerprinted as a *hex-string* sha1 chain —
 ``chain = sha1(chain + record)`` per lookup — rather than a live hash
@@ -40,7 +38,6 @@ import hashlib
 import json
 import math
 import pickle
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -49,9 +46,11 @@ from repro.core.cache_digest import CacheDigest, filter_pushes
 from repro.scenario.spec import ScenarioSpec
 from repro.service.backend import HintService
 from repro.service.store import LatencyHistogram, LookupStatus
-from repro.service.workload import Lookup, ZipfPopularity
+from repro.service.workload import ArrivalStream, Lookup
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+_ENVELOPE_KEYS = ("spec_fingerprint", "clock_hours", "state_sha256", "state")
 
 #: Event-kind priorities at equal simulated times: close the rollup
 #: window first (events *at* the boundary belong to the next window),
@@ -201,11 +200,7 @@ class LongRunner:
         self.spec = spec
         self.pages = spec.build_pages()
         self.service = HintService(self.pages, spec.service_config())
-        self.popularity = ZipfPopularity(spec.pages, spec.zipf_exponent)
-        self._rng = random.Random(spec.workload_seed)
-        self._mean_gap = 1.0 / spec.rate_per_hour
-        self._seq = 0
-        self._last_when = 0.0
+        self.arrivals = ArrivalStream(self.service.config.workload())
         self._pending: Optional[Lookup] = None
         self._exhausted = False
         self._ticks_done = 0
@@ -223,27 +218,6 @@ class LongRunner:
         self._digests: Dict[Tuple[str, int], CacheDigest] = {}
         self.digest_lookups = 0
         self.digest_filtered_urls = 0
-
-    # -- stream generation ------------------------------------------------
-
-    def _draw(self) -> Lookup:
-        """Next arrival, with Workload's exact per-arrival draw order."""
-        rng = self._rng
-        self._last_when += rng.expovariate(1.0 / self._mean_gap)
-        page_index = self.popularity.sample(rng.random())
-        device_class = (
-            "phone" if rng.random() < self.spec.phone_fraction else "tablet"
-        )
-        user = f"user{rng.randrange(self.spec.user_pool)}"
-        lookup = Lookup(
-            seq=self._seq,
-            when_hours=self._last_when,
-            page_index=page_index,
-            device_class=device_class,
-            user=user,
-        )
-        self._seq += 1
-        return lookup
 
     # -- event handlers ---------------------------------------------------
 
@@ -330,11 +304,11 @@ class LongRunner:
             self._begun = True
         while True:
             if self._pending is None and not self._exhausted:
-                lookup = self._draw()
+                lookup = self.arrivals.draw()
                 if lookup.when_hours > horizon:
                     # The stream ends at the horizon; the draw itself
                     # happens in straight and resumed runs alike, so
-                    # the RNG state stays aligned.
+                    # the cursor stays aligned.
                     self._exhausted = True
                 else:
                     self._pending = lookup
@@ -422,11 +396,22 @@ class LongRunner:
 
     @classmethod
     def from_checkpoint_bytes(cls, data: bytes) -> "LongRunner":
-        envelope = pickle.loads(data)
+        try:
+            envelope = pickle.loads(data)
+        except Exception as exc:
+            raise ValueError(f"checkpoint does not unpickle: {exc!r}") from exc
+        if not isinstance(envelope, dict):
+            raise ValueError(
+                f"checkpoint envelope is a {type(envelope).__name__}, "
+                "not a dict"
+            )
         if envelope.get("version") != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {envelope.get('version')!r}"
             )
+        missing = [key for key in _ENVELOPE_KEYS if key not in envelope]
+        if missing:
+            raise ValueError(f"checkpoint envelope lacks {missing}")
         state = envelope["state"]
         if hashlib.sha256(state).hexdigest() != envelope["state_sha256"]:
             raise ValueError("checkpoint state digest mismatch")

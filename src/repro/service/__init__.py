@@ -15,10 +15,10 @@ dependency hints out of a store (Sec 4.1.2).  Everything below
 * :mod:`repro.service.scheduler` — a batched offline-resolution job
   scheduler that prioritises by staleness × request popularity under a
   crawl budget (page loads per hour).
-* :mod:`repro.service.workload` — a seeded workload generator
-  (Zipf page popularity × Poisson arrivals).
+* :mod:`repro.service.workload` — a seeded arrival stream (Zipf page
+  popularity × Poisson arrivals) behind one picklable cursor.
 * :mod:`repro.service.backend` — the :class:`HintService` simulation
-  tying them together on the DES clock, with per-shard and
+  tying them together in one time-ordered loop, with per-shard and
   per-tenant counters, latency percentiles and a cold-start story
   (miss ⇒ serve no hints ⇒ enqueue resolution — Vroom's graceful
   fallback to vanilla HTTP/2).
@@ -42,9 +42,10 @@ from repro.service.placement import (
 )
 from repro.service.scheduler import BatchScheduler, ResolutionJob
 from repro.service.store import LookupStatus, StoreEntry
-from repro.service.workload import Workload, ZipfPopularity
+from repro.service.workload import ArrivalStream, Workload, ZipfPopularity
 
 __all__ = [
+    "ArrivalStream",
     "HintService",
     "ServiceConfig",
     "ServiceReport",

@@ -1,10 +1,14 @@
-"""The hint service itself: store + scheduler + workload on the DES.
+"""The hint service itself: store + scheduler + workload in time order.
 
 :class:`HintService` simulates a multi-tenant Vroom hint-serving
-backend for a fleet of pages.  One :class:`~repro.net.simulator.
-Simulator` instance provides the virtual clock — its time unit here is
-**hours** (the offline-resolution timescale), not the seconds a page
-load uses; the two simulations never share a clock instance.
+backend for a fleet of pages.  Its clock is in **hours** (the
+offline-resolution timescale), not the seconds a page load uses.
+:meth:`HintService.run` walks the workload's arrivals in time order
+and runs a scheduler tick at every ``k × batch_period_hours`` on the
+way; at equal times the tick goes first.  External drivers (the
+longrun harness) call :meth:`~HintService.begin`,
+:meth:`~HintService.process_lookup`, :meth:`~HintService.process_batch`
+and :meth:`~HintService.final_report` themselves.
 
 The operational loop per lookup:
 
@@ -34,10 +38,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import audit
 from repro.calibration import DEFAULT_EVAL_HOUR, OFFLINE_WINDOW_LOADS
 from repro.core.offline import OfflineResolver, stable_set_to_dict
 from repro.net.faults import FaultPlan, FaultRule
-from repro.net.simulator import Simulator
 from repro.pages.page import PageBlueprint
 from repro.service.bridge import BridgeSample
 from repro.service.placement import FleetLookup, FleetStore
@@ -348,9 +352,15 @@ class HintService:
     # -- event handlers ---------------------------------------------------
 
     # repro: hotpath
-    def _handle_lookup(
+    def process_lookup(
         self, lookup, now_hours: float
     ) -> Tuple[FleetLookup, float]:
+        """Serve one lookup at an absolute simulated hour.
+
+        Returns the front-door :class:`FleetLookup` outcome and the
+        recorded latency in milliseconds.  Hours must be fed
+        monotonically, interleaved with :meth:`process_batch` ticks.
+        """
         page = self.pages[lookup.page_index]
         self.store.sync_health(now_hours)
         result = self.store.lookup(
@@ -484,7 +494,8 @@ class HintService:
                     page.name, device_class, self.config.start_hour
                 )
 
-    def _run_batch(self, now_hours: float) -> None:
+    def process_batch(self, now_hours: float) -> None:
+        """Run one scheduler tick (health sync, reshard step, batch)."""
         self.store.sync_health(now_hours)
         self._drive_reshard(now_hours)
         batch = self.scheduler.take_batch(
@@ -506,15 +517,14 @@ class HintService:
         if self.store.reshard_pending():
             self.store.reshard_step(self.config.reshard_points_per_tick)
 
-    # -- external driving (the longrun streaming harness) -----------------
+    # -- driving ----------------------------------------------------------
 
     def begin(self) -> None:
-        """Arm the service for externally driven traffic.
+        """Arm the service for traffic.
 
-        Syncs shard health at the start hour and prewarms if configured
-        — exactly what :meth:`run` does before its event loop.  Claims
-        the per-run counters, so a service is driven either by
-        :meth:`run` or externally, never both.
+        Syncs shard health at the start hour and prewarms if configured;
+        :meth:`run` starts with it, external drivers call it themselves.
+        Claims the per-run counters, so a service is driven once.
         """
         if self._ran:
             raise RuntimeError(
@@ -525,22 +535,6 @@ class HintService:
         self.store.sync_health(self.config.start_hour)
         if self.config.prewarm:
             self._prewarm()
-
-    def process_lookup(
-        self, lookup, now_hours: float
-    ) -> Tuple[FleetLookup, float]:
-        """Serve one lookup at an absolute simulated hour.
-
-        Returns the front-door :class:`FleetLookup` outcome and the
-        recorded latency in milliseconds.  Callers own the clock: hours
-        must be fed monotonically, interleaved with
-        :meth:`process_batch` ticks.
-        """
-        return self._handle_lookup(lookup, now_hours)
-
-    def process_batch(self, now_hours: float) -> None:
-        """Run one scheduler tick (health sync, reshard step, batch)."""
-        self._run_batch(now_hours)
 
     def trim_resolver_caches(self) -> int:
         """Drop memoised stable sets; returns the entries dropped.
@@ -555,57 +549,37 @@ class HintService:
             dropped += resolver.trim_cache()
         return dropped
 
-    def final_report(self, duration_hours: float) -> ServiceReport:
-        """The run report for an externally driven service."""
-        return self._report(duration_hours)
-
     # -- the run ----------------------------------------------------------
 
     def run(self) -> ServiceReport:
-        """Drive the whole workload through the DES; return the report."""
-        if self._ran:
-            raise RuntimeError(
-                "a HintService holds per-run counters; build a fresh one "
-                "per run"
-            )
-        self._ran = True
-        self.store.sync_health(self.config.start_hour)
-        if self.config.prewarm:
-            self._prewarm()
-        sim = Simulator()
-        workload = Workload(self.config.workload())
-        arrivals = iter(workload)
+        """Drive the whole workload in time order; return the report.
 
-        def pump() -> None:
-            """Self-rescheduling arrival chain: one live event at a time."""
-            lookup = next(arrivals, None)
-            if lookup is None:
-                return
-            delay = max(0.0, lookup.when_hours - sim.now)
+        Batch ticks fall at ``k × batch_period_hours`` and run before an
+        arrival at the same hour.  After the last arrival the remaining
+        ticks run up to ``ceil(duration / period) + 1``, so the tick
+        count comes from the stream itself.
+        """
+        self.begin()
+        start = self.config.start_hour
+        period = self.config.batch_period_hours
+        tick = 1
+        clock = 0.0
+        for lookup in Workload(self.config.workload()):
+            when = lookup.when_hours
+            while tick * period <= when:
+                self.process_batch(start + tick * period)
+                tick += 1
+            if audit.ENABLED:
+                audit.clock_monotonic(clock, when, f"lookup #{lookup.seq}")
+            clock = when
+            self.process_lookup(lookup, start + when)
+        ticks = int(math.ceil(clock / period)) + 1
+        for tick in range(tick, ticks + 1):
+            self.process_batch(start + tick * period)
+        return self.final_report(clock)
 
-            def fire(lookup=lookup) -> None:
-                self._handle_lookup(
-                    lookup, self.config.start_hour + sim.now
-                )
-                pump()
-
-            sim.schedule_drop(delay, fire)
-
-        duration = workload.duration_hours()
-        ticks = int(math.ceil(duration / self.config.batch_period_hours)) + 1
-        for tick in range(1, ticks + 1):
-            when = tick * self.config.batch_period_hours
-
-            def fire_batch(when=when) -> None:
-                self._run_batch(self.config.start_hour + when)
-
-            sim.schedule_at(when, fire_batch)
-
-        pump()
-        sim.run(max_events=self.config.lookups * 2 + ticks + 16)
-        return self._report(duration)
-
-    def _report(self, duration: float) -> ServiceReport:
+    def final_report(self, duration: float) -> ServiceReport:
+        """The run report, valid once the traffic has been driven."""
         totals = self.store.totals()
         lookups = totals["lookups"]
         served = totals["hits"] + totals["stale_hits"]

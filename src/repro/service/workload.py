@@ -90,73 +90,92 @@ class WorkloadConfig:
     flash_page_rank: int = 0
 
 
+def _check_shape(config: WorkloadConfig) -> None:
+    """Reject a traffic shape the arrival stream cannot draw from."""
+    if config.rate_per_hour <= 0:
+        raise ValueError("arrival rate must be positive")
+    if not 0.0 <= config.phone_fraction <= 1.0:
+        raise ValueError("phone fraction must be within [0, 1]")
+    if config.user_pool < 1:
+        raise ValueError("user pool needs at least one user")
+    if config.flash_at_hours is not None:
+        if config.flash_at_hours < 0:
+            raise ValueError("flash start must be non-negative")
+        if config.flash_duration_hours <= 0:
+            raise ValueError("flash duration must be positive")
+        if config.flash_multiplier <= 0:
+            raise ValueError("flash multiplier must be positive")
+        if not 0.0 <= config.flash_focus <= 1.0:
+            raise ValueError("flash focus must be within [0, 1]")
+        if not 0 <= config.flash_page_rank < config.pages:
+            raise ValueError("flash page rank outside the fleet")
+
+
+class ArrivalStream:
+    """Picklable cursor over the seeded arrival stream.
+
+    Its whole position is explicit state — ``rng``, ``now`` (the last
+    arrival's hour) and ``seq`` (the next sequence number) — so a cursor
+    pickled mid-stream resumes with the identical remaining lookups.
+    The stream is unbounded: :class:`Workload` takes ``lookups`` draws,
+    the longrun harness draws up to its horizon.
+    """
+
+    def __init__(self, config: WorkloadConfig):
+        _check_shape(config)
+        self.config = config
+        self.popularity = ZipfPopularity(config.pages, config.zipf_exponent)
+        self.rng = random.Random(config.seed)
+        self.now = 0.0
+        self.seq = 0
+
+    def draw(self) -> Lookup:
+        """The next arrival; advances ``now`` and ``seq``."""
+        config = self.config
+        rng = self.rng
+        mean_gap = 1.0 / config.rate_per_hour
+        flash_at = config.flash_at_hours
+        # Inside the flash window arrivals clump (rate × multiplier) and
+        # concentrate on the flash page; the window test uses the
+        # previous arrival's clock, so the draw order is fixed.
+        if (
+            flash_at is not None
+            and flash_at <= self.now < flash_at + config.flash_duration_hours
+        ):
+            self.now += rng.expovariate(config.flash_multiplier / mean_gap)
+            if rng.random() < config.flash_focus:
+                page_index = config.flash_page_rank
+                rng.random()  # keep the per-arrival draw count fixed
+            else:
+                page_index = self.popularity.sample(rng.random())
+        else:
+            self.now += rng.expovariate(1.0 / mean_gap)
+            page_index = self.popularity.sample(rng.random())
+        device_class = (
+            "phone" if rng.random() < config.phone_fraction else "tablet"
+        )
+        user = f"user{rng.randrange(config.user_pool)}"
+        lookup = Lookup(
+            seq=self.seq,
+            when_hours=self.now,
+            page_index=page_index,
+            device_class=device_class,
+            user=user,
+        )
+        self.seq += 1
+        return lookup
+
+
 class Workload:
-    """Deterministic lookup stream; iterate to drain it."""
+    """The first ``lookups`` arrivals of the stream; iterate to drain it."""
 
     def __init__(self, config: WorkloadConfig):
         if config.lookups < 1:
             raise ValueError("workload needs at least one lookup")
-        if config.rate_per_hour <= 0:
-            raise ValueError("arrival rate must be positive")
-        if not 0.0 <= config.phone_fraction <= 1.0:
-            raise ValueError("phone fraction must be within [0, 1]")
-        if config.flash_at_hours is not None:
-            if config.flash_at_hours < 0:
-                raise ValueError("flash start must be non-negative")
-            if config.flash_duration_hours <= 0:
-                raise ValueError("flash duration must be positive")
-            if config.flash_multiplier <= 0:
-                raise ValueError("flash multiplier must be positive")
-            if not 0.0 <= config.flash_focus <= 1.0:
-                raise ValueError("flash focus must be within [0, 1]")
-            if not 0 <= config.flash_page_rank < config.pages:
-                raise ValueError("flash page rank outside the fleet")
+        _check_shape(config)
         self.config = config
-        self.popularity = ZipfPopularity(config.pages, config.zipf_exponent)
-
-    def _in_flash(self, now: float) -> bool:
-        flash_at = self.config.flash_at_hours
-        return (
-            flash_at is not None
-            and flash_at
-            <= now
-            < flash_at + self.config.flash_duration_hours
-        )
 
     def __iter__(self) -> Iterator[Lookup]:
-        config = self.config
-        rng = random.Random(config.seed)
-        mean_gap = 1.0 / config.rate_per_hour
-        now = 0.0
-        for seq in range(config.lookups):
-            # Inside the flash window arrivals clump (rate × multiplier)
-            # and concentrate on the flash page; the window test uses the
-            # previous arrival's clock, so the draw order is fixed.
-            if self._in_flash(now):
-                now += rng.expovariate(config.flash_multiplier / mean_gap)
-                if rng.random() < config.flash_focus:
-                    page_index = config.flash_page_rank
-                    rng.random()  # keep the per-arrival draw count fixed
-                else:
-                    page_index = self.popularity.sample(rng.random())
-            else:
-                now += rng.expovariate(1.0 / mean_gap)
-                page_index = self.popularity.sample(rng.random())
-            device_class = (
-                "phone" if rng.random() < config.phone_fraction else "tablet"
-            )
-            user = f"user{rng.randrange(config.user_pool)}"
-            yield Lookup(
-                seq=seq,
-                when_hours=now,
-                page_index=page_index,
-                device_class=device_class,
-                user=user,
-            )
-
-    def duration_hours(self) -> float:
-        """Arrival time of the last lookup (replays the whole stream)."""
-        last = 0.0
-        for lookup in self:
-            last = lookup.when_hours
-        return last
+        stream = ArrivalStream(self.config)
+        for _ in range(self.config.lookups):
+            yield stream.draw()

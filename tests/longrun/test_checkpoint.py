@@ -5,7 +5,12 @@ import pickle
 import pytest
 
 from repro import audit
-from repro.longrun import LongRunner, checkpoint_roundtrip, run_scenario
+from repro.longrun import (
+    CHECKPOINT_VERSION,
+    LongRunner,
+    checkpoint_roundtrip,
+    run_scenario,
+)
 from repro.scenario import ScenarioSpec
 
 QUIET = dict(
@@ -96,3 +101,18 @@ class TestEnvelope:
         envelope["spec_fingerprint"] = "0" * 64
         with pytest.raises(ValueError, match="fingerprint"):
             LongRunner.from_checkpoint_bytes(pickle.dumps(envelope))
+
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            (b"", "unpickle"),
+            (b"garbage", "unpickle"),
+            (pickle.dumps(["not", "an", "envelope"]), "list, not a dict"),
+            (pickle.dumps({"version": 1}), "version 1"),
+            (pickle.dumps({"version": CHECKPOINT_VERSION}), "lacks"),
+        ],
+        ids=["empty", "garbage", "list", "v1-stub", "no-state"],
+    )
+    def test_malformed_envelope_rejected(self, data, problem):
+        with pytest.raises(ValueError, match=problem):
+            LongRunner.from_checkpoint_bytes(data)

@@ -1,11 +1,13 @@
 """Tests for the streaming long-horizon runner."""
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.longrun import LongRunner, RunningStats, run_scenario
 from repro.scenario import ScenarioSpec
+from repro.service.workload import Workload
 
 SMALL = dict(
     pages=4,
@@ -51,6 +53,28 @@ class TestDeterminism:
             ScenarioSpec(**{**SMALL, "workload_seed": 7})
         )
         assert base["chain"] != reseeded["chain"]
+
+
+class TestSharedStream:
+    def test_serves_the_workload_prefix(self):
+        spec = ScenarioSpec(**SMALL)
+        runner = LongRunner(spec)
+        served = []
+        process_lookup = runner.service.process_lookup
+
+        def recording(lookup, now_hours):
+            served.append(lookup)
+            return process_lookup(lookup, now_hours)
+
+        runner.service.process_lookup = recording
+        runner.run_to(spec.horizon_hours)
+        assert served
+        workload = dataclasses.replace(
+            spec.service_config().workload(), lookups=len(served)
+        )
+        assert [dataclasses.astuple(lookup) for lookup in served] == [
+            dataclasses.astuple(lookup) for lookup in Workload(workload)
+        ]
 
 
 class TestRollups:

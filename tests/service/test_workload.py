@@ -1,8 +1,15 @@
 """Workload generator: Zipf popularity, Poisson arrivals, determinism."""
 
+import pickle
+
 import pytest
 
-from repro.service.workload import Workload, WorkloadConfig, ZipfPopularity
+from repro.service.workload import (
+    ArrivalStream,
+    Workload,
+    WorkloadConfig,
+    ZipfPopularity,
+)
 
 
 def config(**overrides):
@@ -45,10 +52,16 @@ class TestWorkloadDeterminism:
     def test_different_seed_different_stream(self):
         assert list(Workload(config())) != list(Workload(config(seed=4)))
 
-    def test_duration_matches_last_arrival(self):
-        workload = Workload(config())
-        last = list(workload)[-1]
-        assert workload.duration_hours() == pytest.approx(last.when_hours)
+
+class TestArrivalStream:
+    def test_pickled_mid_stream_yields_the_same_remainder(self):
+        stream = ArrivalStream(config(flash_at_hours=0.1))
+        for _ in range(137):
+            stream.draw()
+        restored = pickle.loads(pickle.dumps(stream))
+        assert [restored.draw() for _ in range(300)] == [
+            stream.draw() for _ in range(300)
+        ]
 
 
 class TestWorkloadShape:
@@ -88,6 +101,8 @@ class TestWorkloadShape:
             Workload(config(rate_per_hour=0.0))
         with pytest.raises(ValueError):
             Workload(config(phone_fraction=1.5))
+        with pytest.raises(ValueError, match="user pool"):
+            Workload(config(user_pool=0))
 
 
 class TestFlashCrowd:
