@@ -12,6 +12,10 @@ The engine consults the digest through ``HttpClient.is_cached``; servers
 then skip pushes for digest hits.  A false positive therefore suppresses
 a useful push (costing a round trip later), never corrupts a load — the
 same failure mode as the real mechanism.
+
+A digest remembers the exact URL list it was built from.  Filtering that
+same list again (a repeat visit served unchanged hints) needs no hashing:
+with no false negatives, every URL in it is held.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import functools
 import hashlib
 import math
 from typing import Iterable, List, Set
+
+from repro import audit
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -53,6 +59,8 @@ class CacheDigest:
             )
         self.bits_per_entry = bits_per_entry
         url_list = list(urls)
+        #: The URLs this digest summarises, in the order given.
+        self.built_from = url_list
         self.entry_count = len(url_list)
         # Hash space scales with N * 2^P, as in the draft.
         space = max(1, self.entry_count) * (2 ** bits_per_entry)
@@ -88,6 +96,25 @@ def digest_from_cache(cache, when_hours: float, **kwargs) -> CacheDigest:
 def filter_pushes(
     pushes: List[str], digest: CacheDigest
 ) -> List[str]:
-    """Drop pushes the digest claims the client already holds."""
+    """Drop pushes the digest claims the client already holds.
+
+    When ``pushes`` equals the list ``digest`` was built from, every
+    push is held (a digest has no false negatives), so the answer is
+    ``[]`` without hashing; ``REPRO_AUDIT=1`` runs the full filter too
+    and requires it to agree.
+    """
+    if pushes == digest.built_from:
+        if audit.ENABLED:
+            leaked = _unheld(pushes, digest)
+            audit.require(
+                not leaked,
+                "digest-reuse",
+                f"{len(leaked)} of the digest's own URLs test as not held",
+            )
+        return []
+    return _unheld(pushes, digest)
+
+
+def _unheld(pushes: List[str], digest: CacheDigest) -> List[str]:
     space, held = digest._space, digest._hashes
     return [url for url in pushes if _url_prefix(url) % space not in held]

@@ -195,10 +195,14 @@ def stable_set_from_dict(data: dict, page: PageBlueprint) -> StableSet:
 
     Exemplars are re-resolved from the blueprint's specs: the persisted
     record stores the stable *facts* (URL, name, size, order); the spec
-    supplies the behaviourally relevant attributes.
+    supplies the behaviourally relevant attributes, and the blueprint's
+    :meth:`~repro.pages.page.PageBlueprint.layout` restores the frame
+    flags that set an exemplar's priority.
     """
-    from repro.pages.resources import Resource
-
+    frames = {
+        name: (in_iframe, is_iframe_doc)
+        for name, _, in_iframe, is_iframe_doc in page.layout()
+    }
     exemplars = {}
     for url, record in data["exemplars"].items():
         spec = page.specs.get(record["name"])
@@ -209,6 +213,9 @@ def stable_set_from_dict(data: dict, page: PageBlueprint) -> StableSet:
             )
         resource = Resource(spec=spec, url=url, size=record["size"])
         resource.process_order = record["process_order"]
+        resource.in_iframe, resource.is_iframe_doc = frames.get(
+            spec.name, (False, False)
+        )
         exemplars[url] = resource
     return StableSet(
         page=data["page"],

@@ -191,7 +191,7 @@ class VroomResolver:
         ]
 
     def _hint_from_resource(self, resource: Resource) -> DependencyHint:
-        order = processing_order_key(resource)
+        order = processing_order_key(self.page, resource.name)
         if (
             self.atf_first
             and resource.priority is Priority.UNIMPORTANT
@@ -223,8 +223,8 @@ class VroomResolver:
         )
 
 
-def processing_order_key(resource: Resource) -> float:
-    """Estimated position of ``resource`` in the client's processing
+def processing_order_key(page: PageBlueprint, name: str) -> float:
+    """Estimated position of spec ``name`` in the client's processing
     timeline, learned from the server's own loads (Sec 5.1: "the server
     discovers this order during its offline and online dependency
     resolution").
@@ -232,18 +232,23 @@ def processing_order_key(resource: Resource) -> float:
     A static child of a document unlocks when the parser reaches its
     position; a script-computed child unlocks a full round after its
     parent executes; a CSS reference unlocks when the sheet is parsed.
+    The sum runs up the blueprint's parent chain — the same chain every
+    materialised load links — so a resource rehydrated from a persisted
+    stable set, which has no parent links, keys exactly as the one it
+    was saved from.
     """
+    specs = page.specs
     key = 0.0
-    node: Optional[Resource] = resource
-    while node is not None and node.parent is not None:
-        discovery = node.spec.discovery.value
+    spec = specs[name]
+    while spec.parent is not None:
+        discovery = spec.discovery.value
         if discovery == "static":
-            key += node.spec.position
+            key += spec.position
         elif discovery == "script":
             key += 1.0
         else:  # css
             key += 0.5
-        node = node.parent
+        spec = specs[spec.parent]
     return key
 
 

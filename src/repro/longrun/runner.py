@@ -48,7 +48,7 @@ from repro.service.backend import HintService
 from repro.service.store import LatencyHistogram, LookupStatus
 from repro.service.workload import ArrivalStream, Lookup
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _ENVELOPE_KEYS = ("spec_fingerprint", "clock_hours", "state_sha256", "state")
 
@@ -240,9 +240,11 @@ class LongRunner:
                 filtered = filter_pushes(urls, digest)
                 self.digest_lookups += 1
                 self.digest_filtered_urls += len(urls) - len(filtered)
-            if urls:
+            if urls and (digest is None or urls != digest.built_from):
                 # This visit's served hints become the next visit's
-                # digest: the warm-client repeat-visit model.
+                # digest: the warm-client repeat-visit model.  Hints
+                # equal to the ones the stored digest summarises would
+                # rebuild it bit for bit, so it is kept.
                 self._digests[key] = CacheDigest(
                     urls, bits_per_entry=spec.digest_filter_bits
                 )

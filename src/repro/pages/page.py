@@ -4,15 +4,16 @@ A :class:`PageBlueprint` is the timeless description of a page: the resource
 specs and their parent/child structure.  :meth:`PageBlueprint.materialize`
 resolves every spec under a :class:`~repro.pages.dynamics.LoadStamp` into a
 :class:`PageSnapshot` — the exact set of resources one load fetches, with
-URLs, sizes, bodies and a root-document processing order.
+URLs, sizes and a root-document processing order.  Bodies are rendered on
+first read (:attr:`~repro.pages.resources.Resource.body`), so a load whose
+bodies nobody reads never renders one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.pages import markup
 from repro.pages.dynamics import LoadStamp, resolve_size, resolve_url
 from repro.pages.resources import (
     Discovery,
@@ -32,6 +33,7 @@ class PageBlueprint:
 
     def __post_init__(self) -> None:
         self._children_cache: Optional[Dict[str, List[ResourceSpec]]] = None
+        self._layout_cache: Optional[List[Tuple[str, int, bool, bool]]] = None
 
     def add(self, spec: ResourceSpec) -> ResourceSpec:
         if spec.name in self.specs:
@@ -42,6 +44,7 @@ class PageBlueprint:
             )
         self.specs[spec.name] = spec
         self._children_cache = None
+        self._layout_cache = None
         return spec
 
     @property
@@ -66,6 +69,38 @@ class PageBlueprint:
             self._children_cache = cache
         kids = cache.get(name)
         return kids if kids is not None else []
+
+    def layout(self) -> List[Tuple[str, int, bool, bool]]:
+        """``(name, process_order, in_iframe, is_iframe_doc)`` per spec.
+
+        One pre-order walk from the root (children in
+        :meth:`children_of` order) that carries an "inside an iframe"
+        flag down the tree: a resource is ``in_iframe`` when some
+        ancestor is an embedded (non-root) HTML document, and every
+        non-root document is an ``is_iframe_doc``.  ``process_order`` is
+        the walk index — the client's processing order.  Specs not
+        reachable from the root are absent.  Memoised like
+        :meth:`children_of` and rebuilt on :meth:`add`; callers treat
+        the result as read-only.
+        """
+        layout = self._layout_cache
+        if layout is None:
+            layout = []
+            specs, root = self.specs, self.root
+            stack = [(root, False)]
+            while stack:
+                name, in_iframe = stack.pop()
+                is_iframe_doc = (
+                    specs[name].rtype is ResourceType.HTML and name != root
+                )
+                layout.append((name, len(layout), in_iframe, is_iframe_doc))
+                below = in_iframe or is_iframe_doc
+                stack.extend(
+                    (child.name, below)
+                    for child in reversed(self.children_of(name))
+                )
+            self._layout_cache = layout
+        return layout
 
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on failure."""
@@ -105,7 +140,11 @@ class PageBlueprint:
                 node = self.specs[node].parent
 
     def materialize(self, stamp: LoadStamp) -> "PageSnapshot":
-        """Resolve every spec under ``stamp`` into a concrete snapshot."""
+        """Resolve every spec under ``stamp`` into a concrete snapshot.
+
+        Only URLs, sizes and the tree are built here; each body is
+        rendered the first time it is read.
+        """
         resources: Dict[str, Resource] = {}
         for spec in self.specs.values():
             resources[spec.name] = Resource(
@@ -118,39 +157,17 @@ class PageBlueprint:
                 child = resources[child_spec.name]
                 child.parent = resource
                 resource.children.append(child)
-
-        root = resources[self.root]
-        self._mark_frames(root)
-        self._assign_process_order(root)
-        for resource in resources.values():
-            if resource.processable:
-                resource.body = markup.render_body(resource)
+        for name, order, in_iframe, is_iframe_doc in self.layout():
+            resource = resources[name]
+            resource.process_order = order
+            resource.in_iframe = in_iframe
+            resource.is_iframe_doc = is_iframe_doc
         return PageSnapshot(
-            page=self.name, stamp=stamp, root=root, resources=resources
+            page=self.name,
+            stamp=stamp,
+            root=resources[self.root],
+            resources=resources,
         )
-
-    @staticmethod
-    def _mark_frames(root: Resource) -> None:
-        for resource in root.descendants():
-            if resource.is_document:
-                resource.is_iframe_doc = True
-            parent = resource.parent
-            while parent is not None:
-                if parent.is_document and parent.parent is not None:
-                    resource.in_iframe = True
-                    break
-                parent = parent.parent
-
-    @staticmethod
-    def _assign_process_order(root: Resource) -> None:
-        """Pre-order walk assigning the client's processing order index."""
-        order = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            node.process_order = order
-            order += 1
-            stack.extend(reversed(node.children))
 
 
 @dataclass

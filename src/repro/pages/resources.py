@@ -3,7 +3,8 @@
 A :class:`ResourceSpec` is the *template* for a resource inside a page
 blueprint — it carries all the knobs that determine how the resource's URL
 and body vary across loads.  A :class:`Resource` is a concrete instance
-inside one materialised load (a snapshot): fixed URL, fixed size, fixed body.
+inside one materialised load (a snapshot): fixed URL, fixed size, and a
+body rendered from them on first read.
 """
 
 from __future__ import annotations
@@ -142,14 +143,35 @@ class Resource:
     #: Names resolved to concrete child resources, ordered by position.
     children: List["Resource"] = field(default_factory=list)
     parent: Optional["Resource"] = None
-    #: The synthetic body (markup for documents/CSS/JS; empty for binaries).
-    body: str = ""
     #: True if this document is an embedded (iframe) HTML, not the root.
     is_iframe_doc: bool = False
     #: True if this resource lives inside an iframe's subtree.
     in_iframe: bool = False
     #: Position of this document's subtree in root processing order.
     process_order: int = -1
+    #: The rendered body, or ``None`` until :attr:`body` is first read.
+    _body: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def body(self) -> str:
+        """The synthetic body (markup for documents/CSS/JS; empty for
+        binaries), rendered by :func:`repro.pages.markup.render_body` on
+        first read and kept.  It is a pure function of this resource's
+        URL, size and children, so rendering late gives the same string
+        as rendering at materialisation.  Assignable.
+        """
+        body = self._body
+        if body is None:
+            from repro.pages import markup
+
+            body = self._body = markup.render_body(self)
+        return body
+
+    @body.setter
+    def body(self, value: str) -> None:
+        self._body = value
 
     def __hash__(self) -> int:
         return hash((id(self.spec), self.url))

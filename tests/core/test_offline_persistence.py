@@ -45,7 +45,9 @@ class TestStableSetPersistence:
             stable_set_from_dict(data, page)
 
     def test_restored_set_drives_resolver(self, page, snapshot, stamp):
-        """A resolver fed a persisted stable set produces usable hints."""
+        """A resolver fed a persisted stable set serves the very hints
+        direct resolution does: same URLs, priorities, order keys and
+        size estimates, in the same sequence."""
         from repro.core.resolver import VroomResolver
 
         resolver = VroomResolver(page)
@@ -64,3 +66,31 @@ class TestStableSetPersistence:
             snapshot.root, as_of_hours=stamp.when_hours
         )
         assert set(rehydrated.urls()) == set(direct.urls())
+
+        def facts(bundle):
+            return [
+                (hint.url, hint.priority, hint.order, hint.size_estimate)
+                for hint in bundle.hints
+            ]
+
+        assert facts(rehydrated) == facts(direct)
+
+    def test_restored_exemplars_keep_frame_flags(self, corpus, stamp):
+        """Iframe documents and their descendants stay UNIMPORTANT."""
+        framed = 0
+        for page in corpus:
+            original = OfflineResolver(page).stable_set(
+                stamp.when_hours, "phone"
+            )
+            restored = stable_set_from_dict(
+                stable_set_to_dict(original), page
+            )
+            for url, exemplar in original.exemplars.items():
+                back = restored.exemplars[url]
+                assert (back.in_iframe, back.is_iframe_doc) == (
+                    exemplar.in_iframe,
+                    exemplar.is_iframe_doc,
+                )
+                assert back.priority == exemplar.priority
+                framed += exemplar.in_iframe or exemplar.is_iframe_doc
+        assert framed, "corpus exercised no iframe exemplar"

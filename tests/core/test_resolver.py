@@ -187,19 +187,19 @@ class TestStrawmen:
 
 
 class TestProcessingOrder:
-    def test_root_children_ordered_by_position(self, snapshot):
+    def test_root_children_ordered_by_position(self, page, snapshot):
         children = [
             c
             for c in snapshot.root.children
             if c.spec.discovery is Discovery.STATIC_MARKUP
         ]
-        keys = [processing_order_key(c) for c in children]
+        keys = [processing_order_key(page, c.name) for c in children]
         positions = [c.spec.position for c in children]
         assert keys == positions
 
-    def test_chained_scripts_after_parents(self, snapshot):
+    def test_chained_scripts_after_parents(self, page, snapshot):
         for resource in snapshot.all_resources():
             if resource.parent is not None and resource.parent.parent is not None:
-                assert processing_order_key(resource) > processing_order_key(
-                    resource.parent
-                )
+                assert processing_order_key(
+                    page, resource.name
+                ) > processing_order_key(page, resource.parent.name)

@@ -62,6 +62,7 @@ def test_memoised_digest_matches_draft_definition(held, pushes, bits):
     # The pickled state is the instance's own fields, nothing of the memo.
     assert set(vars(digest)) == {
         "bits_per_entry",
+        "built_from",
         "entry_count",
         "_space",
         "_hashes",
